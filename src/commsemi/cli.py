@@ -20,8 +20,6 @@ from .semigroups import (
     SemigroupSet,
     center,
     classify_small_abelian_group,
-    enumerate_full,
-    enumerate_partial,
     idempotents,
     image_union,
     is_group,
@@ -231,50 +229,7 @@ def _cmd_graph(args) -> int:
 # verify
 
 
-def _enumerate_capped(n: int, kind: str, cap_full: int, cap_partial: int, what: str) -> SemigroupSet:
-    cap = cap_full if kind == "full" else cap_partial
-    if n > cap:
-        raise ValueError(f"{what} is computed exhaustively; capped at n={cap} for kind={kind}")
-    return enumerate_full(n) if kind == "full" else enumerate_partial(n)
-
-
-def _compute_claim(claim: str, n: int, kind: str):
-    """Returns (computed value, witness digests)."""
-    if claim == "comm-max":
-        r = oracle.max_commutative(n, kind)
-        return r.size, [semigroup_digest(m) for m in r.maximizers]
-    if claim == "idem-max":
-        r = oracle.max_commutative_idempotent(n, kind)
-        return r.size, [semigroup_digest(m) for m in r.maximizers]
-    if claim == "unique-idem-max":
-        r = oracle.max_unique_idempotent(n, kind)
-        return r.size, [semigroup_digest(m) for m in r.maximizers]
-    if claim == "null-max":
-        r = oracle.max_null(n, kind)
-        return r.size, [semigroup_digest(m) for m in r.maximizers]
-    if claim == "abelian-max":
-        r = oracle.max_abelian_subgroup(n)
-        return r.size, [semigroup_digest(m) for m in r.maximizers]
-    if claim == "pclique":
-        S = _enumerate_capped(n, kind, 5, 4, "pclique")
-        g = graphs.build(S)
-        res = graphs.max_clique(g)
-        witness = SemigroupSet([S.elements[i] for i in res.witness])
-        return res.size, [semigroup_digest(witness)]
-    if claim == "girth":
-        S = _enumerate_capped(n, kind, 5, 4, "girth")
-        return graphs.girth(graphs.build(S)), []
-    if claim == "knit":
-        S = _enumerate_capped(n, kind, 6, 5, "knit")
-        return graphs.knit_degree(S, max_len=4), []
-    if claim == "xi-table":
-        return [(r.n, r.alpha, r.xi) for r in extremal.xi_table(n)], []
-    raise ValueError(f"unknown claim {claim!r}")
-
-
 def _jsonable_value(v):
-    if v is None:
-        return None
     if isinstance(v, float) and math.isinf(v):
         return "infinity"
     if isinstance(v, list):
@@ -293,9 +248,11 @@ def _fmt_value(v) -> str:
 
 
 def _cmd_verify(args) -> int:
-    expected = oracle.expected_value(args.claim, args.n, args.kind)
+    claim = oracle.CLAIMS[args.claim]
+    expected = claim.expected(args.n, args.kind)
     start = time.monotonic()
-    computed, digests = _compute_claim(args.claim, args.n, args.kind)
+    computed, witnesses = claim.compute(args.n, args.kind)
+    digests = [semigroup_digest(w) for w in witnesses]
     runtime = time.monotonic() - start
     match = computed == expected
     print(
@@ -376,21 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify", help="recompute a published value and compare")
-    p.add_argument(
-        "--claim",
-        required=True,
-        choices=[
-            "comm-max",
-            "idem-max",
-            "unique-idem-max",
-            "null-max",
-            "abelian-max",
-            "pclique",
-            "girth",
-            "knit",
-            "xi-table",
-        ],
-    )
+    p.add_argument("--claim", required=True, choices=list(oracle.CLAIMS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", required=True, choices=["full", "partial"])
     p.add_argument("--json", metavar="OUT")

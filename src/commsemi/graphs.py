@@ -58,16 +58,14 @@ class CliqueResult:
     nodes_explored: int
 
 
-def commuting_rows(S: SemigroupSet) -> list[int]:
-    """Bit matrix over ALL elements: bit j of row i set iff elements i, j commute."""
-    elems = S.elements
-    m = len(elems)
-    prod = S.product
+def commuting_rows(items: Sequence, prod) -> list[int]:
+    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute under ``prod``."""
+    m = len(items)
     rows = [0] * m
     for i in range(m):
-        a = elems[i]
+        a = items[i]
         for j in range(i + 1, m):
-            b = elems[j]
+            b = items[j]
             if prod(a, b) == prod(b, a):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
@@ -82,7 +80,7 @@ def build(S: SemigroupSet) -> CommGraph:
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    rows = commuting_rows(S)
+    rows = commuting_rows(S.elements, S.product)
     m = len(S)
     full = (1 << m) - 1
     vertices = tuple(i for i in range(m) if rows[i] | (1 << i) != full)
@@ -90,11 +88,7 @@ def build(S: SemigroupSet) -> CommGraph:
     index_of = {g: l for l, g in enumerate(vertices)}
     adj = [0] * len(vertices)
     for l, g in enumerate(vertices):
-        bits = rows[g]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            other = low.bit_length() - 1
+        for other in _bits_to_list(rows[g]):
             if other in index_of:
                 adj[l] |= 1 << index_of[other]
     return CommGraph(S, vertices, adj, center)
@@ -228,29 +222,6 @@ def max_clique(g: CommGraph) -> CliqueResult:
     return CliqueResult(size, witness, nodes)
 
 
-def max_comm_subsemigroup(S: SemigroupSet) -> SemigroupSet:
-    """A largest commutative subsemigroup: max clique plus the center.
-
-    The defining identity — maximum commutative size = clique number plus
-    |Z(S)| — requires the returned set to be product-closed; that is
-    re-checked here rather than assumed, and a violation aborts.
-    """
-    g = build(S)
-    c = max_clique(g)
-    elems = [S.elements[i] for i in c.witness] + [
-        S.elements[i] for i in g.center_indices
-    ]
-    T = SemigroupSet(elems)
-    if len(T) != c.size + len(g.center_indices):
-        raise RuntimeError("clique and center overlap; the center must be clique-free")
-    if not T.is_closed() or not T.is_commutative():
-        raise RuntimeError(
-            "maximum clique plus center failed the closure/commutativity check: "
-            f"witness indices {c.witness}"
-        )
-    return T
-
-
 def girth(g: CommGraph) -> float | int:
     """Length of a shortest cycle, or math.inf in a forest.
 
@@ -296,6 +267,8 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
     first maps — is found immediately when it qualifies.  Returns the path
     as elements, or None if no qualifying path of length ≤ max_len exists.
     """
+    if max_len < 1:
+        raise ValueError(f"the searched path length must be at least 1, got {max_len}")
     if not S.is_closed():
         raise ValueError("left paths are defined for product-closed sets")
     if S.is_commutative():

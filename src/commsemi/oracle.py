@@ -22,8 +22,9 @@ run can assert that no violation ever occurred.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .extremal import (
     e_ix,
@@ -32,8 +33,17 @@ from .extremal import (
     null_plus_identity,
     omega_pn,
     xi_alpha,
+    xi_table,
 )
-from .graphs import all_max_cliques_bits, max_clique_bits
+from .graphs import (
+    all_max_cliques_bits,
+    build,
+    commuting_rows,
+    girth,
+    knit_degree,
+    max_clique,
+    max_clique_bits,
+)
 from .semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
@@ -121,36 +131,19 @@ def _checked_set(elements, *, context: str) -> SemigroupSet:
     return SemigroupSet(T.elements, closed=True, commutative=True)
 
 
-def _commute_adjacency(items, prod) -> list[int]:
-    m = len(items)
-    adj = [0] * m
-    for i in range(m):
-        a = items[i]
-        for j in range(i + 1, m):
-            b = items[j]
-            if prod(a, b) == prod(b, a):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+def _check_degree(claim: str, n: int, kind: str) -> None:
+    """ValueError unless ``CLAIMS[claim]`` is computed at degree n for this kind."""
+    degrees = CLAIMS[claim].degrees
+    lo, hi = degrees.get(kind, (1, 0))
+    if not lo <= n <= hi:
+        caps = ", ".join(f"{a} ≤ n ≤ {b} for kind={k}" for k, (a, b) in degrees.items())
+        raise ValueError(f"{claim} is computed exhaustively, capped at {caps}; got n={n}")
 
 
-def _enumerate(n: int, kind: str) -> SemigroupSet:
-    if kind == "full":
-        return enumerate_full(n)
-    if kind == "partial":
-        return enumerate_partial(n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _check_cap(n: int, kind: str, caps: dict[str, int], what: str) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if kind not in caps:
-        raise ValueError(f"unknown kind {kind!r}")
-    if n > caps[kind]:
-        raise ValueError(
-            f"{what} is exact only up to n={caps[kind]} for kind={kind}; got n={n}"
-        )
+def _enumerate(claim: str, n: int, kind: str) -> SemigroupSet:
+    """All of T_n or P_n, once the claim's degree range admits n."""
+    _check_degree(claim, n, kind)
+    return enumerate_full(n) if kind == "full" else enumerate_partial(n)
 
 
 def _sorted_results(pairs) -> tuple[tuple[SemigroupSet, ...], tuple[str, ...]]:
@@ -207,53 +200,37 @@ def _tag_unique_idem(T: SemigroupSet) -> str:
 # the five oracle searches
 
 
-def max_commutative(n: int, kind: str) -> OracleResult:
-    """Largest commutative subsemigroup, with every maximizer enumerated."""
-    _check_cap(n, kind, {"full": 5, "partial": 4}, "max_commutative")
-    S = _enumerate(n, kind)
-    if S.is_commutative():
-        T = _checked_set(S.elements, context=f"max_commutative({n},{kind}) trivial")
-        return OracleResult(len(S), (T,), (_tag_commutative(T),))
-    prod = S.product
-    central = center(S).elements
+def _cliques_plus_center(S: SemigroupSet, pool, central: list, context: str) -> OracleResult:
+    """Every maximum clique of the commuting graph on pool ∖ central, plus central."""
     central_set = set(central)
-    verts = [a for a in S if a not in central_set]
-    adj = _commute_adjacency(verts, prod)
+    verts = [a for a in pool if a not in central_set]
+    adj = commuting_rows(verts, S.product)
     omega, _, _ = max_clique_bits(adj)
-    cliques = all_max_cliques_bits(adj, omega)
     results = []
-    for K in cliques:
-        elems = [verts[i] for i in K] + list(central)
-        T = _checked_set(elems, context=f"max_commutative({n},{kind})")
+    for K in all_max_cliques_bits(adj, omega):
+        T = _checked_set([verts[i] for i in K] + central, context=context)
         results.append((T, _tag_commutative(T)))
     maximizers, tags = _sorted_results(results)
     return OracleResult(omega + len(central), maximizers, tags)
+
+
+def max_commutative(n: int, kind: str) -> OracleResult:
+    """Largest commutative subsemigroup, with every maximizer enumerated."""
+    S = _enumerate("comm-max", n, kind)
+    central = list(center(S).elements)
+    return _cliques_plus_center(S, S.elements, central, f"max_commutative({n},{kind})")
 
 
 def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
     """Largest commutative subsemigroup consisting of idempotents."""
-    _check_cap(n, kind, {"full": 6, "partial": 5}, "max_commutative_idempotent")
-    S = _enumerate(n, kind)
-    prod = S.product
-    E = idempotents(S)
-    if S.is_commutative():
-        T = _checked_set(E, context=f"max_commutative_idempotent({n},{kind}) trivial")
-        return OracleResult(len(E), (T,), (_tag_commutative(T),))
+    S = _enumerate("idem-max", n, kind)
     central = [a for a in center(S) if is_idempotent(a)]
-    central_set = set(central)
-    verts = [a for a in E if a not in central_set]
-    adj = _commute_adjacency(verts, prod)
-    omega, _, _ = max_clique_bits(adj)
-    cliques = all_max_cliques_bits(adj, omega)
-    results = []
-    for K in cliques:
-        elems = [verts[i] for i in K] + central
-        T = _checked_set(elems, context=f"max_commutative_idempotent({n},{kind})")
-        if not all(is_idempotent(a) for a in T):
-            raise RuntimeError("idempotent search produced a non-idempotent element")
-        results.append((T, _tag_commutative(T)))
-    maximizers, tags = _sorted_results(results)
-    return OracleResult(omega + len(central), maximizers, tags)
+    r = _cliques_plus_center(
+        S, idempotents(S), central, f"max_commutative_idempotent({n},{kind})"
+    )
+    if not all(is_idempotent(a) for T in r.maximizers for a in T):
+        raise RuntimeError("idempotent search produced a non-idempotent element")
+    return r
 
 
 def max_unique_idempotent(n: int, kind: str) -> OracleResult:
@@ -264,8 +241,7 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     the induced graph of f's class, and maximum cliques there are closed
     and contain f.
     """
-    _check_cap(n, kind, {"full": 5, "partial": 4}, "max_unique_idempotent")
-    S = _enumerate(n, kind)
+    S = _enumerate("unique-idem-max", n, kind)
     prod = S.product
     classes: dict = {}
     for a in S:
@@ -273,7 +249,7 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     per_class = {}
     best = 0
     for f, items in classes.items():
-        adj = _commute_adjacency(items, prod)
+        adj = commuting_rows(items, prod)
         size, _, _ = max_clique_bits(adj)
         per_class[f] = (items, adj, size)
         best = max(best, size)
@@ -302,8 +278,7 @@ def max_null(n: int, kind: str) -> OracleResult:
     classes {α : ω-power = z, αz = zα = z}) must agree with the null
     maximum at these degrees; a disagreement aborts.
     """
-    _check_cap(n, kind, {"full": 5, "partial": 4}, "max_null")
-    S = _enumerate(n, kind)
+    S = _enumerate("null-max", n, kind)
     prod = S.product
     zeros = idempotents(S)
     per_zero = {}
@@ -335,7 +310,7 @@ def max_null(n: int, kind: str) -> OracleResult:
             for a in S
             if omega_power(a) == z and prod(a, z) == z and prod(z, a) == z
         ]
-        adj = _commute_adjacency(items, prod)
+        adj = commuting_rows(items, prod)
         size, _, _ = max_clique_bits(adj)
         best_nilpotent = max(best_nilpotent, size)
     if best_nilpotent != best:
@@ -361,16 +336,11 @@ def max_null(n: int, kind: str) -> OracleResult:
 
 def max_abelian_subgroup(n: int) -> OracleResult:
     """Largest abelian subgroup of the symmetric group, by clique search."""
-    if not 2 <= n <= 6:
-        raise ValueError(f"max_abelian_subgroup is exact for 2 ≤ n ≤ 6, got {n}")
+    _check_degree("abelian-max", n, "full")
     S = enumerate_sym(n)
-    if S.is_commutative():
-        T = _checked_set(S.elements, context=f"max_abelian_subgroup({n}) trivial")
-        return OracleResult(len(S), (T,), (f"ABELIAN:{len(S)}",))
-    prod = S.product
     ident = Transformation.identity(n)
     verts = [a for a in S if a != ident]
-    adj = _commute_adjacency(verts, prod)
+    adj = commuting_rows(verts, S.product)
     omega, witness, _ = max_clique_bits(adj)
     elems = [verts[i] for i in witness] + [ident]
     T = _checked_set(elems, context=f"max_abelian_subgroup({n})")
@@ -454,65 +424,130 @@ def conjecture_lower_bound(n: int) -> tuple[int, SemigroupSet]:
 
 
 # ---------------------------------------------------------------------------
-# published values for the CLI's verify command
+# the claim registry behind the CLI's verify command
 
-_COMM_MAX_FULL = {n: 2 ** (n - 1) for n in range(2, 7)}
-_COMM_MAX_PARTIAL = {n: 2**n for n in range(2, 6)}
+
+class Claim(NamedTuple):
+    """One published value, the code that recomputes it, and where it runs.
+
+    ``expected(n, kind)`` is the published value and raises ValueError
+    outside the published domain.  ``compute(n, kind)`` returns the
+    recomputed value and the witness sets behind it.  ``degrees`` maps
+    each kind to the inclusive degree range ``compute`` accepts.
+    """
+
+    expected: Callable[[int, str], object]
+    compute: Callable[[int, str], tuple[object, tuple[SemigroupSet, ...]]]
+    degrees: dict[str, tuple[int, int]]
+
+
+def _published(claim: str, value, full=None, partial=None):
+    """``expected`` for a claim: ``value(n, is_full)`` on the published ranges."""
+    ranges = {"full": full, "partial": partial}
+
+    def expected(n: int, kind: str):
+        span = ranges.get(kind)
+        if span is None or not span[0] <= n <= span[1]:
+            raise ValueError(f"no published value for {claim} at n={n}, kind={kind}")
+        return value(n, kind == "full")
+
+    return expected
+
+
+def _comm(n: int, full: bool) -> int:
+    return 2 ** (n - 1) if full else 2**n
+
+
+def _xi(n: int, full: bool) -> int:
+    return TABLE1[n if full else n + 1][1]
+
+
+def _unique_idem(n: int, full: bool) -> int:
+    return n if full and n <= 4 else _xi(n, full)
+
+
+def _pclique(n: int, full: bool) -> int:
+    # The commutative maximum minus the center: {id} in T_n, {id, ∅} in P_n.
+    return _comm(n, full) - (1 if full else 2)
+
+
+def _witnessed(r: OracleResult) -> tuple[int, tuple[SemigroupSet, ...]]:
+    return r.size, r.maximizers
+
+
+def _compute_abelian(n: int, kind: str):
+    _check_degree("abelian-max", n, kind)
+    return _witnessed(max_abelian_subgroup(n))
+
+
+def _compute_pclique(n: int, kind: str):
+    S = _enumerate("pclique", n, kind)
+    res = max_clique(build(S))
+    return res.size, (SemigroupSet([S.elements[i] for i in res.witness]),)
+
+
+def _compute_xi_table(n: int, kind: str):
+    _check_degree("xi-table", n, kind)
+    return [(r.n, r.alpha, r.xi) for r in xi_table(n)], ()
+
+
+_FROM_2 = (2, math.inf)  # published for every degree n ≥ 2
+
+# The searches are looked up by module name at call time (not captured
+# here), so anything that rebinds them, such as a tracer, sees every call.
+CLAIMS: dict[str, Claim] = {
+    "comm-max": Claim(
+        _published("comm-max", _comm, (2, 6), (2, 5)),
+        lambda n, kind: _witnessed(max_commutative(n, kind)),
+        {"full": (1, 5), "partial": (1, 4)},
+    ),
+    "idem-max": Claim(
+        _published("idem-max", _comm, (1, math.inf), (1, math.inf)),
+        lambda n, kind: _witnessed(max_commutative_idempotent(n, kind)),
+        {"full": (1, 6), "partial": (1, 5)},
+    ),
+    "unique-idem-max": Claim(
+        _published("unique-idem-max", _unique_idem, (1, 20), (1, 19)),
+        lambda n, kind: _witnessed(max_unique_idempotent(n, kind)),
+        {"full": (1, 5), "partial": (1, 4)},
+    ),
+    "null-max": Claim(
+        _published("null-max", _xi, (1, 20), (1, 19)),
+        lambda n, kind: _witnessed(max_null(n, kind)),
+        {"full": (1, 5), "partial": (1, 4)},
+    ),
+    "abelian-max": Claim(
+        _published("abelian-max", lambda n, full: ABELIAN_ORDERS[n], full=(2, 12)),
+        _compute_abelian,
+        {"full": (2, 6)},
+    ),
+    "pclique": Claim(
+        _published("pclique", _pclique, (2, 6), (2, 5)),
+        _compute_pclique,
+        {"full": (2, 5), "partial": (2, 4)},
+    ),
+    "girth": Claim(
+        _published("girth", lambda n, full: math.inf if n == 2 else 3, _FROM_2, _FROM_2),
+        lambda n, kind: (girth(build(_enumerate("girth", n, kind))), ()),
+        {"full": (2, 5), "partial": (2, 4)},
+    ),
+    "knit": Claim(
+        _published("knit", lambda n, full: None if n == 2 else 1, _FROM_2, _FROM_2),
+        lambda n, kind: (knit_degree(_enumerate("knit", n, kind), max_len=4), ()),
+        {"full": (2, 6), "partial": (2, 5)},
+    ),
+    "xi-table": Claim(
+        _published(
+            "xi-table", lambda n, full: [(k, *TABLE1[k]) for k in range(1, n + 1)], (1, 20), (1, 20)
+        ),
+        _compute_xi_table,
+        {"full": (1, 20), "partial": (1, 20)},
+    ),
+}
 
 
 def expected_value(claim: str, n: int, kind: str):
     """The published value a computation must reproduce, or ValueError."""
-    if kind not in ("full", "partial"):
-        raise ValueError(f"unknown kind {kind!r}")
-    full = kind == "full"
-    if claim == "comm-max":
-        table = _COMM_MAX_FULL if full else _COMM_MAX_PARTIAL
-        if n not in table:
-            raise ValueError(f"no published exact value for comm-max at n={n}, {kind}")
-        return table[n]
-    if claim == "idem-max":
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        return 2 ** (n - 1) if full else 2**n
-    if claim == "unique-idem-max":
-        if full:
-            if n <= 4:
-                return n
-            if n in TABLE1:
-                return TABLE1[n][1]
-            raise ValueError(f"frozen table stops at n=20; got {n}")
-        if n + 1 in TABLE1:
-            return TABLE1[n + 1][1]
-        raise ValueError(f"frozen table stops at n=20; got {n}")
-    if claim == "null-max":
-        key = n if full else n + 1
-        if key in TABLE1:
-            return TABLE1[key][1]
-        raise ValueError(f"frozen table stops at n=20; got {n}")
-    if claim == "abelian-max":
-        if not full:
-            raise ValueError("abelian-max concerns the symmetric group; use kind=full")
-        if n in ABELIAN_ORDERS:
-            return ABELIAN_ORDERS[n]
-        raise ValueError(f"no frozen abelian order for n={n}")
-    if claim == "pclique":
-        if full:
-            if 2 <= n <= 6:
-                return 2 ** (n - 1) - 1
-        else:
-            if 2 <= n <= 5:
-                return 2**n - 2
-        raise ValueError(f"no published clique number for n={n}, {kind}")
-    if claim == "girth":
-        if n < 2:
-            raise ValueError("girth statements start at n=2")
-        return float("inf") if n == 2 else 3
-    if claim == "knit":
-        if n < 2:
-            raise ValueError("knit statements start at n=2")
-        return None if n == 2 else 1
-    if claim == "xi-table":
-        if not 1 <= n <= 20:
-            raise ValueError("the frozen table covers 1 ≤ n ≤ 20")
-        return [(k, TABLE1[k][0], TABLE1[k][1]) for k in range(1, n + 1)]
-    raise ValueError(f"unknown claim {claim!r}")
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    return CLAIMS[claim].expected(n, kind)

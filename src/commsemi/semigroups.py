@@ -3,16 +3,14 @@
 A :class:`SemigroupSet` is an immutable, canonically sorted collection of
 same-degree elements of one kind (``"full"`` or ``"partial"``) plus two
 cached tri-state flags (closed / commutative: True, False or unknown).
-Everything else — closure, center, idempotents, the structural predicates,
-restriction, and the invariant-complement machinery — lives in module-level
-functions.
+Everything else — closure, center, idempotents, the structural predicates
+and restriction — lives in module-level functions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .transform import (
     AnyTransformation,
@@ -21,7 +19,6 @@ from .transform import (
     compose,
     compose_partial,
     is_idempotent as _is_idempotent_el,
-    product as _product,
     restrict as _restrict,
 )
 
@@ -120,15 +117,9 @@ class SemigroupSet:
         if self._commutative is None:
             elems = self.elements
             prod = self.product
-            result = True
-            for i, a in enumerate(elems):
-                for b in elems[i + 1 :]:
-                    if prod(a, b) != prod(b, a):
-                        result = False
-                        break
-                if not result:
-                    break
-            self._commutative = result
+            self._commutative = all(
+                prod(a, b) == prod(b, a) for i, a in enumerate(elems) for b in elems[i + 1 :]
+            )
         return self._commutative
 
     def identity_element(self) -> AnyTransformation:
@@ -361,135 +352,3 @@ def image_union(S: SemigroupSet) -> tuple[int, ...]:
     for a in S:
         out.update(a.image())
     return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Minimum-size members of C(S, X) plus the cycle witness when |I| ≥ 2.
-
-    C(S, X) collects the nonempty proper subsets I whose complement is
-    invariant under every element of S.  The witness, when present, is an
-    element whose restriction to ``minimal_I`` is a permutation made of
-    equal-length cycles of length ≥ 2.
-    """
-
-    minimal_I: tuple[int, ...]
-    all_minimal: tuple[tuple[int, ...], ...]
-    witness_cycle_element: AnyTransformation | None
-
-
-def _invariant_complements_by_subsets(S: SemigroupSet) -> list[frozenset[int]]:
-    n = S.degree
-    imgs = [a.img for a in S]
-    invariant = []
-    for bits in range(1, (1 << n) - 1):
-        w = [x for x in range(n) if bits >> x & 1]
-        ok = True
-        wset = set(w)
-        for img in imgs:
-            for x in w:
-                if img[x] not in wset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            invariant.append(frozenset(w))
-    return invariant
-
-
-def _forward_orbit(imgs: Sequence[tuple[int, ...]], x: int) -> frozenset[int]:
-    out = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        for img in imgs:
-            v = img[y]
-            if v not in out:
-                out.add(v)
-                frontier.append(v)
-    return frozenset(out)
-
-
-def _invariant_complements_by_orbits(S: SemigroupSet) -> list[frozenset[int]]:
-    """Maximal proper invariant subsets via singleton forward closures.
-
-    Every invariant set is a union of single-point orbit closures, so the
-    largest invariant set avoiding a given point y is the union of the orbit
-    closures that miss y.  Only those maximal candidates are returned; they
-    suffice for minimum-size complements.
-    """
-    n = S.degree
-    imgs = [a.img for a in S]
-    orbits = [_forward_orbit(imgs, x) for x in range(n)]
-    candidates = set()
-    for y in range(n):
-        w: set[int] = set()
-        for orb in orbits:
-            if y not in orb:
-                w |= orb
-        if w and len(w) < n:
-            candidates.add(frozenset(w))
-    return list(candidates)
-
-
-def _equal_length_cycles(a: AnyTransformation, points: Sequence[int]) -> bool:
-    pts = list(points)
-    pset = set(pts)
-    imgs = {x: a.img[x] for x in pts}
-    if set(imgs.values()) != pset:
-        return False  # not a permutation of the set
-    lengths = set()
-    visited: set[int] = set()
-    for x in pts:
-        if x in visited:
-            continue
-        length = 0
-        y = x
-        while y not in visited:
-            visited.add(y)
-            y = imgs[y]
-            length += 1
-        lengths.add(length)
-    return len(lengths) == 1 and lengths.pop() >= 2
-
-
-_SUBSET_ENUM_MAX_DEGREE = 20
-
-
-def minimal_invariant_complement(S: SemigroupSet) -> InvariantReport:
-    """All minimum-size I with (X∖I) invariant under every element of S.
-
-    Requires S commutative and not contained in the permutations (otherwise
-    the class may be empty and the contract rejects the input).  Degrees up
-    to 20 use plain subset enumeration; beyond that, maximal invariant sets
-    are assembled from singleton forward closures.
-    """
-    if S.kind != FULL:
-        raise ValueError("minimal_invariant_complement is defined for full transformations")
-    if not S.is_commutative():
-        raise ValueError("minimal_invariant_complement requires a commutative set")
-    if all(a.is_permutation() for a in S):
-        raise ValueError(
-            "every element is a permutation; invariant complements are not guaranteed"
-        )
-    n = S.degree
-    if n <= _SUBSET_ENUM_MAX_DEGREE:
-        invariant = _invariant_complements_by_subsets(S)
-    else:
-        invariant = _invariant_complements_by_orbits(S)
-    if not invariant:
-        raise ValueError("C(S, X) is empty")
-    best = max(len(w) for w in invariant)
-    ground = set(range(n))
-    minimal = sorted(
-        tuple(sorted(ground - w)) for w in invariant if len(w) == best
-    )
-    minimal_I = minimal[0]
-    witness = None
-    if len(minimal_I) >= 2:
-        for a in S:
-            if _equal_length_cycles(a, minimal_I):
-                witness = a
-                break
-    return InvariantReport(minimal_I, tuple(minimal), witness)

@@ -14,8 +14,7 @@ with undefined greatest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _compose_imgs(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -36,7 +35,7 @@ class Transformation:
         if n == 0:
             raise ValueError("degree must be at least 1")
         for x, v in enumerate(img):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"image of point {x} is {v!r}, not in [0, {n})")
         self.img = img
 
@@ -107,7 +106,7 @@ class PartialTransformation:
         for x, v in enumerate(raw):
             if v is None:
                 normalized.append(n)
-            elif isinstance(v, int) and 0 <= v <= n:
+            elif isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= n:
                 normalized.append(v)
             else:
                 raise ValueError(f"image of point {x} is {v!r}, not in [0, {n}] or None")
@@ -115,11 +114,6 @@ class PartialTransformation:
 
     @property
     def degree(self) -> int:
-        return len(self.img)
-
-    @property
-    def undefined(self) -> int:
-        """The in-memory sentinel for "no image" (equals the degree)."""
         return len(self.img)
 
     @classmethod
@@ -276,68 +270,3 @@ def embed_partial(b: PartialTransformation) -> Transformation:
     """
     n = b.degree
     return Transformation(b.img + (n,))
-
-
-@dataclass(frozen=True)
-class IdempotentDecomposition:
-    """Block form of an idempotent: block i is the preimage of its representative.
-
-    Blocks partition the ground set; representatives are exactly the image
-    of the idempotent, listed ascending.
-    """
-
-    degree: int
-    representatives: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def to_transformation(self) -> Transformation:
-        img = [0] * self.degree
-        for rep, block in zip(self.representatives, self.blocks):
-            for x in block:
-                img[x] = rep
-        return Transformation(img)
-
-
-def idempotent_decomposition(e: Transformation) -> IdempotentDecomposition:
-    if not is_idempotent(e):
-        raise ValueError(f"{e!r} is not idempotent")
-    reps = e.image()
-    blocks = tuple(
-        tuple(x for x in range(e.degree) if e.img[x] == r) for r in reps
-    )
-    dec = IdempotentDecomposition(e.degree, reps, blocks)
-    assert dec.to_transformation() == e
-    return dec
-
-
-def commutes_with_idempotent(e: Transformation, b: Transformation) -> bool:
-    """Block test for eb = be.
-
-    With e in block form ⟨A_1,x_1⟩…⟨A_k,x_k⟩, b commutes with e iff for
-    every block i there is a block j with x_i b = x_j and A_i b ⊆ A_j.
-    """
-    if e.degree != b.degree:
-        raise ValueError(f"degree mismatch: {e.degree} vs {b.degree}")
-    dec = idempotent_decomposition(e)
-    rep_index = {r: j for j, r in enumerate(dec.representatives)}
-    for block, rep in zip(dec.blocks, dec.representatives):
-        j = rep_index.get(b.img[rep])
-        if j is None:
-            return False
-        target = dec.blocks[j]
-        target_set = set(target)
-        if any(b.img[x] not in target_set for x in block):
-            return False
-    return True
-
-
-def transformation_from_pairs(n: int, pairs: Sequence[tuple[int, int]]) -> Transformation:
-    """Convenience builder from explicit (point, image) pairs; all points required."""
-    img: dict[int, int] = {}
-    for x, y in pairs:
-        if x in img:
-            raise ValueError(f"point {x} given twice")
-        img[x] = y
-    if sorted(img) != list(range(n)):
-        raise ValueError("pairs must cover every point exactly once")
-    return Transformation(img[x] for x in range(n))

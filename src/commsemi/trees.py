@@ -14,7 +14,7 @@ a null semigroup of exactly the original size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .extremal import null_max, xi_alpha
 from .semigroups import (
@@ -78,10 +78,6 @@ class SemiTree:
                     out.setdefault(w[:d], set()).add(w[d])
             self._children = {node: tuple(sorted(ls)) for node, ls in out.items()}
         return self._children
-
-    def nodes(self) -> Iterator[Word]:
-        yield from self.children()
-        yield from self.leaves
 
     def nodes_at_depth(self, d: int) -> list[Word]:
         return sorted({w[:d] for w in self.leaves})
@@ -271,13 +267,8 @@ def _validate_m(M: SemigroupSet, r: int, t: int, needed: int) -> None:
             )
 
 
-def _nullify_pipeline(
-    S: SemigroupSet,
-    m_override: SemigroupSet | None = None,
-    match: str = "lex",
-) -> NullifyTrace:
-    if match not in ("lex", "reversed"):
-        raise ValueError(f"unknown leaf-matching rule {match!r}")
+def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> NullifyTrace:
+    """Like nullify, but returns every intermediate stage of the surgery."""
     part = s_partition(S)  # validates closed / commutative / unique idempotent
     e = unique_idempotent(S)
     n = S.degree
@@ -318,9 +309,8 @@ def _nullify_pipeline(
     assert all(w[:t] == (0,) * t for w in m_words), "null maps must share a length-t trunk"
     tails = sorted(w[1:] for w in m_words)
 
-    pairing = list(tails) if match == "lex" else list(reversed(tails))
     t1_leaves = []
-    for head, pre in zip(pairing, prefixes):
+    for head, pre in zip(tails, prefixes):
         for suf in suffixes[pre]:
             t1_leaves.append(head + suf)
     tree_1 = SemiTree(tuple(t1_leaves))
@@ -396,12 +386,7 @@ def nullify(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Semigrou
     size-|G| subset of the canonical null semigroup on |im e|+1 points
     containing the zero).
     """
-    return _nullify_pipeline(S, m_override=m_override).result
-
-
-def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> NullifyTrace:
-    """Like nullify, but returns every intermediate stage of the surgery."""
-    return _nullify_pipeline(S, m_override=m_override)
+    return nullify_trace(S, m_override=m_override).result
 
 
 def tree_to_dot(t: SemiTree) -> str:

@@ -16,11 +16,11 @@ from commsemi.graphs import (
     knit_degree,
     max_clique,
     max_clique_bits,
-    max_comm_subsemigroup,
     read_adjacency,
     shortest_left_path,
     write_adjacency,
 )
+from commsemi.oracle import max_commutative
 from commsemi.semigroups import SemigroupSet, enumerate_full, enumerate_partial
 from commsemi.transform import PartialTransformation, Transformation
 
@@ -107,7 +107,7 @@ class TestBuild:
 
     def test_commuting_rows_symmetry(self):
         S = enumerate_full(3)
-        rows = commuting_rows(S)
+        rows = commuting_rows(S.elements, S.product)
         for i in range(len(S)):
             assert not rows[i] >> i & 1
             for j in range(len(S)):
@@ -157,19 +157,28 @@ class TestCliqueSearch:
 
 
 class TestMaxCommSubsemigroup:
+    """Maximum cliques of the commuting graph plus the centre, as searched by
+    ``oracle.max_commutative``, are the paper's extremal subsemigroups."""
+
     def test_full_3_is_a_gamma(self):
-        T = max_comm_subsemigroup(enumerate_full(3))
-        assert len(T) == 4
-        assert T.is_closed() and T.is_commutative()
-        assert any(T.elements == gamma(3, x).elements for x in range(3))
+        r = max_commutative(3, "full")
+        assert r.size == 4
+        for T in r.maximizers:
+            assert len(T) == 4
+            assert T.is_closed() and T.is_commutative()
+            assert any(T.elements == gamma(3, x).elements for x in range(3))
 
     def test_full_4_is_a_gamma(self):
-        T = max_comm_subsemigroup(enumerate_full(4))
-        assert len(T) == 8
-        assert any(T.elements == gamma(4, x).elements for x in range(4))
+        r = max_commutative(4, "full")
+        assert r.size == 8
+        for T in r.maximizers:
+            assert len(T) == 8
+            assert any(T.elements == gamma(4, x).elements for x in range(4))
 
     def test_partial_3_is_the_partial_identities(self):
-        T = max_comm_subsemigroup(enumerate_partial(3))
+        r = max_commutative(3, "partial")
+        assert r.size == 8
+        (T,) = r.maximizers
         assert len(T) == 8
         assert T.elements == e_ix(3).elements
 
@@ -225,6 +234,11 @@ class TestLeftPaths:
     def test_rejects_commutative(self):
         with pytest.raises(ValueError):
             shortest_left_path(gamma(4, 0))
+
+    def test_rejects_empty_length_range(self):
+        for max_len in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                knit_degree(enumerate_full(3), max_len=max_len)
 
 
 class TestSerialization:

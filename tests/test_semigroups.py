@@ -18,7 +18,6 @@ from commsemi.semigroups import (
     is_group,
     is_nilpotent,
     is_null,
-    minimal_invariant_complement,
     restrict_set,
     unique_idempotent,
 )
@@ -268,52 +267,3 @@ class TestRestrictSet:
 
 def test_image_union_example():
     assert image_union(example_semigroup()) == (0, 2, 3, 4, 6)
-
-
-class TestInvariantComplement:
-    def test_swap_plus_constant(self):
-        S = SemigroupSet(
-            [Transformation([1, 0, 2]), Transformation([0, 1, 2]), Transformation([2, 2, 2])]
-        )
-        rep = minimal_invariant_complement(S)
-        assert rep.minimal_I == (0, 1)
-        assert rep.all_minimal == ((0, 1),)
-        assert rep.witness_cycle_element == Transformation([1, 0, 2])
-
-    def test_singleton_minimal_has_no_witness(self):
-        S = closure([Transformation([0, 0, 1])])
-        rep = minimal_invariant_complement(S)
-        assert len(rep.minimal_I) == 1
-        assert rep.witness_cycle_element is None
-
-    def test_rejects_pure_permutations(self):
-        with pytest.raises(ValueError):
-            minimal_invariant_complement(closure([Transformation([1, 2, 0])]))
-
-    def test_rejects_noncommutative(self):
-        with pytest.raises(ValueError):
-            minimal_invariant_complement(enumerate_full(2))
-
-    def test_subset_and_orbit_methods_agree(self):
-        from commsemi.semigroups import (
-            _invariant_complements_by_orbits,
-            _invariant_complements_by_subsets,
-        )
-
-        # The orbit method only has to produce the maximal invariant sets,
-        # so compare against subset enumeration at the size that matters.
-        rng = random.Random(31)
-        for _ in range(40):
-            n = rng.randint(2, 7)
-            a = Transformation(tuple(rng.randrange(n) for _ in range(n)))
-            if a.is_permutation():
-                continue
-            S = closure([a])
-            by_subsets = set(_invariant_complements_by_subsets(S))
-            by_orbits = set(_invariant_complements_by_orbits(S))
-            assert by_orbits <= by_subsets
-            best = max(len(w) for w in by_subsets)
-            assert max(len(w) for w in by_orbits) == best
-            assert {w for w in by_subsets if len(w) == best} == {
-                w for w in by_orbits if len(w) == best
-            }

@@ -1,6 +1,7 @@
 """Tests for the JSON interchange format and the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -362,6 +363,11 @@ class TestCliGraph:
         assert "girth: infinity" in out
         assert "knit degree: none (searched lengths 1..3)" in out
 
+    def test_knit_length_below_one(self, capsys, t3_file):
+        for k in ("0", "-3"):
+            assert cli.run(["graph", t3_file, f"--knit={k}"]) == 2
+            assert "at least 1" in capsys.readouterr().err
+
     def test_rejects_commutative(self, capsys, tmp_path):
         path = tmp_path / "gamma.json"
         write_semigroup_file(gamma(3, 0), str(path))
@@ -439,3 +445,67 @@ class TestCliVerify:
             == 2
         )
         assert "error:" in capsys.readouterr().err
+
+
+# Degrees `verify` accepts, per claim and kind (inclusive ranges; None = none).
+VERIFY_RANGES = {
+    "comm-max": {"full": (2, 5), "partial": (2, 4)},
+    "idem-max": {"full": (1, 6), "partial": (1, 5)},
+    "unique-idem-max": {"full": (1, 5), "partial": (1, 4)},
+    "null-max": {"full": (1, 5), "partial": (1, 4)},
+    "abelian-max": {"full": (2, 6), "partial": None},
+    "pclique": {"full": (2, 5), "partial": (2, 4)},
+    "girth": {"full": (2, 5), "partial": (2, 4)},
+    "knit": {"full": (2, 6), "partial": (2, 5)},
+    "xi-table": {"full": (1, 20), "partial": (1, 20)},
+}
+
+
+class TestVerifyRange:
+    """Pins the accepted degrees of every claim without running a real search.
+
+    Enumeration is replaced by the identity and the constants to 0 and 1
+    of the requested degree, so every search and graph statistic runs on a
+    tiny non-commutative monoid: accepted degrees exit 0 or 1, and every
+    other degree must exit 2.
+    """
+
+    @staticmethod
+    def _tiny(cls):
+        def make(n):
+            if n < 2:
+                return SemigroupSet([cls.identity(n)])
+            return SemigroupSet([cls.identity(n), cls([0] * n), cls([1] * n)])
+
+        return make
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        stubs = {
+            "enumerate_full": self._tiny(Transformation),
+            "enumerate_partial": self._tiny(PartialTransformation),
+            "enumerate_sym": lambda n: SemigroupSet([Transformation.identity(n)]),
+        }
+        for modname, mod in list(sys.modules.items()):
+            if modname == "commsemi" or modname.startswith("commsemi."):
+                for name, stub in stubs.items():
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, stub)
+
+    def test_accepted_degrees(self, stubbed, capsys):
+        accepted = {}
+        for claim, kinds in VERIFY_RANGES.items():
+            for kind in kinds:
+                for n in range(-2, 25):
+                    code = cli.run(["verify", "--claim", claim, f"--n={n}", "--kind", kind])
+                    assert code in (0, 1, 2), (claim, kind, n, code)
+                    if code != 2:
+                        accepted.setdefault((claim, kind), []).append(n)
+        capsys.readouterr()
+        expected = {
+            (claim, kind): list(range(span[0], span[1] + 1))
+            for claim, kinds in VERIFY_RANGES.items()
+            for kind, span in kinds.items()
+            if span is not None
+        }
+        assert accepted == expected

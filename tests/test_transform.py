@@ -6,17 +6,14 @@ import pytest
 from commsemi.transform import (
     PartialTransformation,
     Transformation,
-    commutes_with_idempotent,
     compose,
     compose_partial,
     embed_partial,
-    idempotent_decomposition,
     is_idempotent,
     omega_power,
     product,
     rank,
     restrict,
-    transformation_from_pairs,
 )
 
 
@@ -133,6 +130,17 @@ def test_validation_errors():
         PartialTransformation([3, 0])  # beyond the degree-2 sentinel
     with pytest.raises(ValueError):
         compose(Transformation([0]), Transformation([0, 1]))
+
+
+def test_bool_images_rejected():
+    # bool is an int subclass; True must not pass for the point 1
+    for bad in ([True, 0], [0, False]):
+        with pytest.raises(ValueError):
+            Transformation(bad)
+        with pytest.raises(ValueError):
+            PartialTransformation(bad)
+    with pytest.raises(ValueError):
+        PartialTransformation([None, True])
 
 
 def test_partial_accepts_sentinel_spelling():
@@ -260,49 +268,3 @@ def test_embed_partial_multiplicative_and_injective_p3():
     for b1, t1 in zip(maps, embedded):
         for b2, t2 in zip(maps, embedded):
             assert embed_partial(compose_partial(b1, b2)) == compose(t1, t2)
-
-
-# -- idempotent block machinery ----------------------------------------------
-
-
-def test_idempotent_decomposition_frozen():
-    e = Transformation([0, 6, 3, 3, 3, 3, 6])
-    dec = idempotent_decomposition(e)
-    assert dec.representatives == (0, 3, 6)
-    assert dec.blocks == ((0,), (2, 3, 4, 5), (1, 6))
-    assert dec.to_transformation() == e
-
-
-def test_idempotent_decomposition_rejects_non_idempotent():
-    with pytest.raises(ValueError):
-        idempotent_decomposition(Transformation([1, 0]))
-
-
-def test_commutes_with_idempotent_agrees_with_products_exhaustive_t3():
-    maps = all_full(3)
-    idems = [e for e in maps if is_idempotent(e)]
-    assert len(idems) == 10
-    for e in idems:
-        for b in maps:
-            expected = compose(e, b) == compose(b, e)
-            assert commutes_with_idempotent(e, b) == expected
-
-
-def test_commutes_with_idempotent_agrees_sampled_t6():
-    rng = random.Random(23)
-    checked = 0
-    while checked < 300:
-        e = omega_power(Transformation(tuple(rng.randrange(6) for _ in range(6))))
-        b = Transformation(tuple(rng.randrange(6) for _ in range(6)))
-        expected = compose(e, b) == compose(b, e)
-        assert commutes_with_idempotent(e, b) == expected
-        checked += 1
-
-
-def test_transformation_from_pairs():
-    a = transformation_from_pairs(3, [(2, 0), (0, 1), (1, 1)])
-    assert a.img == (1, 1, 0)
-    with pytest.raises(ValueError):
-        transformation_from_pairs(3, [(0, 1), (1, 1)])
-    with pytest.raises(ValueError):
-        transformation_from_pairs(2, [(0, 0), (0, 1), (1, 0)])

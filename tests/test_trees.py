@@ -217,19 +217,6 @@ class TestNullifyExample:
         assert len(N) == 7
         assert is_null(N)[0]
 
-    def test_reversed_matching_gives_the_same_profile(self):
-        from commsemi.trees import _nullify_pipeline
-
-        S = example_semigroup()
-        lex = _nullify_pipeline(S, match="lex")
-        rev = _nullify_pipeline(S, match="reversed")
-        assert rev.profile_2 == lex.profile_2
-        assert rev.result.is_closed()
-        assert is_null(rev.result)[0]
-        assert len(rev.result) == 7
-        with pytest.raises(ValueError):
-            _nullify_pipeline(S, match="shuffled")
-
 
 class TestNullifyErrors:
     def test_rejects_groups(self):

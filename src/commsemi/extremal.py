@@ -15,7 +15,7 @@ import itertools
 from typing import NamedTuple, Sequence
 
 from .semigroups import SemigroupSet, closure
-from .transform import PartialTransformation, Transformation
+from .transform import PartialTransformation, Transformation, _raw
 
 
 class XiAlpha(NamedTuple):
@@ -42,16 +42,12 @@ def xi_table(n_max: int) -> list[XiAlpha]:
     return [xi_alpha(n) for n in range(1, n_max + 1)]
 
 
-def _full(img: tuple[int, ...]) -> Transformation:
-    t = Transformation.__new__(Transformation)
-    t.img = img
-    return t
+def _full(img: Sequence[int]) -> Transformation:
+    return _raw(Transformation, bytes(img))
 
 
-def _partial(img: tuple[int, ...]) -> PartialTransformation:
-    p = PartialTransformation.__new__(PartialTransformation)
-    p.img = img
-    return p
+def _partial(img: Sequence[int]) -> PartialTransformation:
+    return _raw(PartialTransformation, bytes(img))
 
 
 def gamma(n: int, x: int) -> SemigroupSet:
@@ -69,7 +65,7 @@ def gamma(n: int, x: int) -> SemigroupSet:
         img[x] = x
         for y, keep in zip(others, choice):
             img[y] = y if keep else x
-        elems.append(_full(tuple(img)))
+        elems.append(_full(img))
     S = SemigroupSet(elems, closed=True, commutative=True)
     assert len(S) == 2 ** (n - 1)
     for a in S:
@@ -117,7 +113,7 @@ def null_semigroup(n: int, points: Sequence[int]) -> SemigroupSet:
             img[p] = x1
         for y, v in zip(free, choice):
             img[y] = v
-        elems.append(_full(tuple(img)))
+        elems.append(_full(img))
     _check_null_shape(elems, pts)
     return SemigroupSet(elems, closed=True, commutative=True)
 
@@ -165,7 +161,7 @@ def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
         img = [n] * n
         for y, v in zip(free, choice):
             img[y] = v
-        elems.append(_partial(tuple(img)))
+        elems.append(_partial(img))
     assert len(elems) == xi
     for a in elems:
         if any(a.img[b] != n for b in bs):
@@ -188,7 +184,7 @@ def _cycle(n: int, points: Sequence[int]) -> Transformation:
     img = list(range(n))
     for i, p in enumerate(points):
         img[p] = points[(i + 1) % len(points)]
-    return _full(tuple(img))
+    return _full(img)
 
 
 def burns_goldsmith_order(n: int) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .semigroups import SemigroupSet
+from .transform import product
 
 INFINITY = math.inf
 
@@ -58,15 +59,15 @@ class CliqueResult:
     nodes_explored: int
 
 
-def commuting_rows(items: Sequence, prod) -> list[int]:
-    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute under ``prod``."""
+def commuting_rows(items: Sequence) -> list[int]:
+    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute."""
     m = len(items)
     rows = [0] * m
     for i in range(m):
         a = items[i]
         for j in range(i + 1, m):
             b = items[j]
-            if prod(a, b) == prod(b, a):
+            if product(a, b).img == product(b, a).img:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
@@ -80,7 +81,7 @@ def build(S: SemigroupSet) -> CommGraph:
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    rows = commuting_rows(S.elements, S.product)
+    rows = commuting_rows(S.elements)
     m = len(S)
     full = (1 << m) - 1
     vertices = tuple(i for i in range(m) if rows[i] | (1 << i) != full)
@@ -276,13 +277,12 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
             "commutative input has an empty commuting graph (every element is central)"
         )
     elems = S.elements
-    prod = S.product
     central_memo: dict[int, bool] = {}
 
     def central(i: int) -> bool:
         if i not in central_memo:
             a = elems[i]
-            central_memo[i] = all(prod(a, b) == prod(b, a) for b in elems)
+            central_memo[i] = all(product(a, b) == product(b, a) for b in elems)
         return central_memo[i]
 
     commute_memo: dict[tuple[int, int], bool] = {}
@@ -291,16 +291,14 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
         key = (i, j) if i < j else (j, i)
         if key not in commute_memo:
             a, b = elems[key[0]], elems[key[1]]
-            commute_memo[key] = prod(a, b) == prod(b, a)
+            commute_memo[key] = product(a, b) == product(b, a)
         return commute_memo[key]
 
     m = len(elems)
 
     def is_left_path(path: list[int]) -> bool:
         first, last = elems[path[0]], elems[path[-1]]
-        return all(
-            prod(first, elems[i]) == prod(last, elems[i]) for i in path
-        )
+        return all(product(first, elems[i]) == product(last, elems[i]) for i in path)
 
     for length in range(1, max_len + 1):
         # depth-first over vertex sequences of `length` edges

@@ -9,8 +9,8 @@ maximum-clique problem on a small induced graph:
   the elements whose power sequence stabilises at f (a maximum clique there
   automatically contains f and is product-closed, since powers and products
   of commuting elements stay in the class);
-* null: for each idempotent z, vertices with square z that absorb z, and
-  adjacency "both products equal z";
+* null: for each idempotent z, vertices with square z that absorb z (all
+  in z's ω-class), and adjacency "both products equal z";
 * abelian subgroup: the commuting graph of the symmetric group.
 
 None of the reductions is taken on faith: every answer set is re-checked
@@ -59,7 +59,7 @@ from .semigroups import (
     is_null,
     unique_idempotent,
 )
-from .transform import Transformation, compose, is_idempotent, omega_power
+from .transform import Transformation, is_idempotent, omega_power, product
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -117,11 +117,10 @@ def _checked_set(elements, *, context: str) -> SemigroupSet:
     """
     T = SemigroupSet(elements)
     _stats["checks"] += 1
-    prod = T.product
     members = set(T.elements)
     for a in T:
         for b in T:
-            ab, ba = prod(a, b), prod(b, a)
+            ab, ba = product(a, b), product(b, a)
             if ab != ba or ab not in members:
                 _stats["violations"] += 1
                 raise RuntimeError(
@@ -204,7 +203,7 @@ def _cliques_plus_center(S: SemigroupSet, pool, central: list, context: str) -> 
     """Every maximum clique of the commuting graph on pool ∖ central, plus central."""
     central_set = set(central)
     verts = [a for a in pool if a not in central_set]
-    adj = commuting_rows(verts, S.product)
+    adj = commuting_rows(verts)
     omega, _, _ = max_clique_bits(adj)
     results = []
     for K in all_max_cliques_bits(adj, omega):
@@ -233,6 +232,17 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
     return r
 
 
+def _omega_classes(S: SemigroupSet) -> dict:
+    """S split by ω-power: idempotent f ↦ the elements whose powers reach f.
+
+    One ``omega_power`` call per element; each class keeps S's order.
+    """
+    classes: dict = {}
+    for a in S:
+        classes.setdefault(omega_power(a), []).append(a)
+    return classes
+
+
 def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     """Largest commutative subsemigroup with exactly one idempotent.
 
@@ -242,14 +252,10 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     and contain f.
     """
     S = _enumerate("unique-idem-max", n, kind)
-    prod = S.product
-    classes: dict = {}
-    for a in S:
-        classes.setdefault(omega_power(a), []).append(a)
     per_class = {}
     best = 0
-    for f, items in classes.items():
-        adj = commuting_rows(items, prod)
+    for f, items in _omega_classes(S).items():
+        adj = commuting_rows(items)
         size, _, _ = max_clique_bits(adj)
         per_class[f] = (items, adj, size)
         best = max(best, size)
@@ -274,45 +280,32 @@ def max_null(n: int, kind: str) -> OracleResult:
 
     For a candidate zero z, a null semigroup with zero z is exactly a clique
     under the adjacency "both products equal z" on the vertices with square
-    z that absorb z.  The nilpotent maximum (commuting cliques on the
-    classes {α : ω-power = z, αz = zα = z}) must agree with the null
-    maximum at these degrees; a disagreement aborts.
+    z that absorb z.  Those vertices lie in z's ω-class (a² = z forces
+    ω(a) = z), so both routes search the ω-classes, computed once.  The
+    nilpotent maximum (commuting cliques on {α : ω-power = z, αz = zα = z})
+    must agree with the null maximum at these degrees; a disagreement aborts.
     """
     S = _enumerate("null-max", n, kind)
-    prod = S.product
-    zeros = idempotents(S)
     per_zero = {}
     best = 0
-    for z in zeros:
-        items = [
-            a
-            for a in S
-            if prod(a, a) == z and prod(a, z) == z and prod(z, a) == z
-        ]
+    best_nilpotent = 0
+    for z, cls in sorted(_omega_classes(S).items(), key=lambda kv: kv[0]):
+        nil = [a for a in cls if product(a, z) == z and product(z, a) == z]
+        items = [a for a in nil if product(a, a) == z]
         m = len(items)
         adj = [0] * m
         for i in range(m):
             a = items[i]
             for j in range(i + 1, m):
                 b = items[j]
-                if prod(a, b) == z and prod(b, a) == z:
+                if product(a, b) == z and product(b, a) == z:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         size, _, _ = max_clique_bits(adj)
         per_zero[z] = (items, adj, size)
         best = max(best, size)
-
-    # independent route: largest commutative nilpotent subsemigroup
-    best_nilpotent = 0
-    for z in zeros:
-        items = [
-            a
-            for a in S
-            if omega_power(a) == z and prod(a, z) == z and prod(z, a) == z
-        ]
-        adj = commuting_rows(items, prod)
-        size, _, _ = max_clique_bits(adj)
-        best_nilpotent = max(best_nilpotent, size)
+        # independent route: largest commutative nilpotent subsemigroup
+        best_nilpotent = max(best_nilpotent, max_clique_bits(commuting_rows(nil))[0])
     if best_nilpotent != best:
         raise RuntimeError(
             f"nilpotent maximum {best_nilpotent} disagrees with null maximum {best} "
@@ -320,7 +313,7 @@ def max_null(n: int, kind: str) -> OracleResult:
         )
 
     results = []
-    for z, (items, adj, size) in sorted(per_zero.items(), key=lambda kv: kv[0]):
+    for z, (items, adj, size) in per_zero.items():
         if size != best:
             continue
         for K in all_max_cliques_bits(adj, size):
@@ -340,7 +333,7 @@ def max_abelian_subgroup(n: int) -> OracleResult:
     S = enumerate_sym(n)
     ident = Transformation.identity(n)
     verts = [a for a in S if a != ident]
-    adj = commuting_rows(verts, S.product)
+    adj = commuting_rows(verts)
     omega, witness, _ = max_clique_bits(adj)
     elems = [verts[i] for i in witness] + [ident]
     T = _checked_set(elems, context=f"max_abelian_subgroup({n})")
@@ -378,7 +371,7 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
         while len(gens) < want and tries < 25:
             tries += 1
             cand = Transformation(tuple(rng.randrange(n) for _ in range(n)))
-            if all(compose(cand, g) == compose(g, cand) for g in gens):
+            if all(product(cand, g) == product(g, cand) for g in gens):
                 gens.append(cand)
         if not gens:
             continue

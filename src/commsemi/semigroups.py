@@ -10,14 +10,14 @@ and restriction — lives in module-level functions.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .transform import (
     AnyTransformation,
     PartialTransformation,
     Transformation,
+    _raw,
     compose,
-    compose_partial,
     is_idempotent as _is_idempotent_el,
     restrict as _restrict,
 )
@@ -99,26 +99,23 @@ class SemigroupSet:
     def __repr__(self) -> str:
         return f"<SemigroupSet kind={self.kind} degree={self.degree} size={len(self)}>"
 
-    # -- products and cached predicates --------------------------------------
-
-    def product(self, a: AnyTransformation, b: AnyTransformation) -> AnyTransformation:
-        return compose(a, b) if self.kind == FULL else compose_partial(a, b)
+    # -- cached predicates ----------------------------------------------------
 
     def is_closed(self) -> bool:
         if self._closed is None:
-            prod = self.product
             members = self._set
             self._closed = all(
-                prod(a, b) in members for a in self.elements for b in self.elements
+                compose(a, b) in members for a in self.elements for b in self.elements
             )
         return self._closed
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
             elems = self.elements
-            prod = self.product
             self._commutative = all(
-                prod(a, b) == prod(b, a) for i, a in enumerate(elems) for b in elems[i + 1 :]
+                compose(a, b) == compose(b, a)
+                for i, a in enumerate(elems)
+                for b in elems[i + 1 :]
             )
         return self._commutative
 
@@ -146,14 +143,13 @@ def closure(
     gens = list(generators)
     if not gens:
         raise ValueError("closure needs at least one generator")
-    prod: Callable = compose if isinstance(gens[0], Transformation) else compose_partial
     items = list(dict.fromkeys(gens))
     seen = set(items)
     i = 0
     while i < len(items):
         a = items[i]
         for b in items[: i + 1]:
-            for p in (prod(a, b), prod(b, a)):
+            for p in (compose(a, b), compose(b, a)):
                 if p not in seen:
                     seen.add(p)
                     items.append(p)
@@ -173,10 +169,7 @@ def _require_closed(S: SemigroupSet, op: str) -> None:
 def center(S: SemigroupSet) -> SemigroupSet:
     """Z(S): the elements commuting with everything in S."""
     _require_closed(S, "center")
-    prod = S.product
-    central = [
-        a for a in S if all(prod(a, b) == prod(b, a) for b in S)
-    ]
+    central = [a for a in S if all(compose(a, b) == compose(b, a) for b in S)]
     return SemigroupSet(central, commutative=True)
 
 
@@ -198,19 +191,17 @@ def unique_idempotent(S: SemigroupSet) -> AnyTransformation:
 def is_null(S: SemigroupSet) -> tuple[bool, AnyTransformation | None]:
     """True iff every product equals one fixed element z (the zero); returns z."""
     _require_closed(S, "is_null")
-    prod = S.product
-    z = prod(S[0], S[0])
+    z = compose(S[0], S[0])
     for a in S:
         for b in S:
-            if prod(a, b) != z:
+            if compose(a, b) != z:
                 return False, None
     return True, z
 
 
 def _find_zero(S: SemigroupSet) -> AnyTransformation | None:
-    prod = S.product
     for z in S:
-        if all(prod(z, a) == z == prod(a, z) for a in S):
+        if all(compose(z, a) == z == compose(a, z) for a in S):
             return z
     return None
 
@@ -221,13 +212,12 @@ def is_nilpotent(S: SemigroupSet) -> bool:
     z = _find_zero(S)
     if z is None:
         return False
-    prod = S.product
     current = set(S.elements)
     target = {z}
     for _ in range(len(S)):
         if current == target:
             return True
-        nxt = {prod(a, b) for a in S for b in current}
+        nxt = {compose(a, b) for a in S for b in current}
         if nxt == current:
             return current == target
         current = nxt
@@ -237,16 +227,15 @@ def is_nilpotent(S: SemigroupSet) -> bool:
 def is_group(S: SemigroupSet) -> bool:
     if not S.is_closed():
         return False
-    prod = S.product
     e = None
     for cand in S:
-        if all(prod(cand, a) == a == prod(a, cand) for a in S):
+        if all(compose(cand, a) == a == compose(a, cand) for a in S):
             e = cand
             break
     if e is None:
         return False
     for a in S:
-        if not any(prod(a, b) == e == prod(b, a) for b in S):
+        if not any(compose(a, b) == e == compose(b, a) for b in S):
             return False
     return True
 
@@ -267,13 +256,12 @@ def classify_small_abelian_group(S: SemigroupSet) -> str:
     if order == 3:
         return "C3"
     if order == 4:
-        prod = S.product
-        e = next(c for c in S if all(prod(c, a) == a for a in S))
+        e = next(c for c in S if all(compose(c, a) == a for a in S))
         max_order = 1
         for a in S:
             p, k = a, 1
             while p != e:
-                p = prod(p, a)
+                p = compose(p, a)
                 k += 1
             max_order = max(max_order, k)
         return "C4" if max_order == 4 else "C2xC2"
@@ -288,11 +276,7 @@ def enumerate_full(n: int, force: bool = False) -> SemigroupSet:
         raise ValueError(
             f"degree {n} exceeds the full-enumeration cap {MAX_FULL_DEGREE}; pass force=True"
         )
-    elems = []
-    for img in itertools.product(range(n), repeat=n):
-        t = Transformation.__new__(Transformation)
-        t.img = img
-        elems.append(t)
+    elems = [_raw(Transformation, bytes(img)) for img in itertools.product(range(n), repeat=n)]
     return SemigroupSet(elems, closed=True, commutative=(n <= 1))
 
 
@@ -304,11 +288,10 @@ def enumerate_partial(n: int, force: bool = False) -> SemigroupSet:
         raise ValueError(
             f"degree {n} exceeds the partial-enumeration cap {MAX_PARTIAL_DEGREE}; pass force=True"
         )
-    elems = []
-    for img in itertools.product(range(n + 1), repeat=n):
-        p = PartialTransformation.__new__(PartialTransformation)
-        p.img = img
-        elems.append(p)
+    elems = [
+        _raw(PartialTransformation, bytes(img))
+        for img in itertools.product(range(n + 1), repeat=n)
+    ]
     return SemigroupSet(elems, closed=True, commutative=(n <= 1))
 
 
@@ -320,11 +303,7 @@ def enumerate_sym(n: int, force: bool = False) -> SemigroupSet:
         raise ValueError(
             f"degree {n} exceeds the permutation-enumeration cap {MAX_SYM_DEGREE}; pass force=True"
         )
-    elems = []
-    for img in itertools.permutations(range(n)):
-        t = Transformation.__new__(Transformation)
-        t.img = img
-        elems.append(t)
+    elems = [_raw(Transformation, bytes(img)) for img in itertools.permutations(range(n))]
     return SemigroupSet(elems, closed=True, commutative=(n <= 2))
 
 

@@ -254,7 +254,7 @@ def test_criterion_09_tree_pipeline_worked_example():
             commutative=True,
         )
         trace = nullify_trace(S, m_override=M)
-        assert {a.img for a in trace.result} == EXAMPLE_NULL_IMGS
+        assert {tuple(a.img) for a in trace.result} == EXAMPLE_NULL_IMGS
         assert len(trace.result) == 7
 
 

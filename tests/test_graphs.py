@@ -107,7 +107,7 @@ class TestBuild:
 
     def test_commuting_rows_symmetry(self):
         S = enumerate_full(3)
-        rows = commuting_rows(S.elements, S.product)
+        rows = commuting_rows(S.elements)
         for i in range(len(S)):
             assert not rows[i] >> i & 1
             for j in range(len(S)):

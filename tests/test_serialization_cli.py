@@ -1,7 +1,10 @@
 """Tests for the JSON interchange format and the command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +246,12 @@ class TestCliAnalyze:
         assert cli.run(["analyze", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_degree_above_byte_range(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": 256, "kind": "full", "elements": [list(range(256))]}))
+        assert cli.run(["analyze", str(path)]) == 2
+        assert "degree must be between 1 and 255" in capsys.readouterr().err
+
 
 class TestCliTreePipeline:
     def test_spartition(self, capsys, example_file):
@@ -282,7 +291,7 @@ class TestCliTreePipeline:
         assert "contracted levels: 2" in out
         assert "output size: 7 (null, zero: 1 1 1 1 1 1 1)" in out
         N = load_semigroup_file(str(out_path))
-        assert {a.img for a in N} == {
+        assert {tuple(a.img) for a in N} == {
             (0, 0, 0, 0, 0, 0, 0),
             (0, 0, 0, 0, 0, 3, 0),
             (0, 0, 0, 0, 0, 6, 0),
@@ -430,6 +439,22 @@ class TestCliVerify:
         report = json.loads(report_path.read_text())
         assert report["expected"] == report["computed"] == 8
         assert len(report["witness_digests"]) == 1
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        # element hashes are salted per process; no output may depend on them
+        report = tmp_path / "F.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        runs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "commsemi.cli", "verify", "--claim", "unique-idem-max",
+                 "--n", "4", "--kind", "partial", "--json", str(report)],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, check=True,
+            )
+            rep = json.loads(report.read_text())
+            runs.append((proc.stdout, rep["computed"], rep["witness_digests"]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 9 and runs[0][2]
 
     def test_cap_exceeded(self, capsys):
         assert cli.run(["verify", "--claim", "pclique", "--n", "6", "--kind", "full"]) == 2

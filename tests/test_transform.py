@@ -35,7 +35,7 @@ def test_composition_is_right_action():
     ab = compose(a, b)
     for x in range(3):
         assert ab(x) == b(a(x))
-    assert ab.img == (0, 2, 0)
+    assert tuple(ab.img) == (0, 2, 0)
     assert (a * b).img == ab.img
 
 
@@ -62,7 +62,7 @@ def test_partial_composition_drops_points():
     a = PartialTransformation([1, None, 2])
     b = PartialTransformation([0, None, 1])
     ab = compose_partial(a, b)
-    assert ab.img == (3, 3, 1)
+    assert tuple(ab.img) == (3, 3, 1)
     assert ab.domain() == (2,)
     assert (a * b) == ab
 
@@ -98,8 +98,8 @@ def test_empty_map_is_absorbing():
 def test_identity_and_constant():
     ident = Transformation.identity(4)
     c2 = Transformation.constant(4, 2)
-    assert ident.img == (0, 1, 2, 3)
-    assert c2.img == (2, 2, 2, 2)
+    assert tuple(ident.img) == (0, 1, 2, 3)
+    assert tuple(c2.img) == (2, 2, 2, 2)
     a = Transformation([3, 1, 0, 2])
     assert compose(ident, a) == a == compose(a, ident)
     assert compose(a, c2) == c2
@@ -108,7 +108,7 @@ def test_identity_and_constant():
 
 def test_partial_identity_on():
     e = PartialTransformation.identity_on(4, [1, 3])
-    assert e.img == (4, 1, 4, 3)
+    assert tuple(e.img) == (4, 1, 4, 3)
     assert e.is_idempotent()
     assert e.domain() == (1, 3)
     assert e.image() == (1, 3)
@@ -143,20 +143,33 @@ def test_bool_images_rejected():
         PartialTransformation([None, True])
 
 
-def test_partial_accepts_sentinel_spelling():
-    # the stored sentinel (= degree) may be passed directly in place of None
-    assert PartialTransformation([2, 0]) == PartialTransformation([None, 0])
+def test_partial_rejects_sentinel_spelling():
+    # the stored sentinel (= degree) is not a point; undefined is spelled None
+    with pytest.raises(ValueError):
+        PartialTransformation([2, 0])
     a = PartialTransformation([None, 1, None])
-    assert PartialTransformation(a.img) == a
+    with pytest.raises(ValueError):
+        PartialTransformation(a.img)
+    assert PartialTransformation([None, 0]).img == bytes([2, 0])
+
+
+def test_degree_guard():
+    # images are bytes, so points and the partial sentinel must stay below 256
+    assert Transformation(range(255)).degree == 255
+    assert PartialTransformation([None] * 255).degree == 255
+    with pytest.raises(ValueError):
+        Transformation(range(256))
+    with pytest.raises(ValueError):
+        PartialTransformation([None] * 256)
 
 
 def test_canonical_order_full_vs_partial():
     # lex order on image tuples; undefined sorts greatest, so the empty map is last
     maps = sorted(all_partial(2))
-    assert maps[0].img == (0, 0)
+    assert tuple(maps[0].img) == (0, 0)
     assert maps[-1] == PartialTransformation.empty(2)
     ts = sorted(all_full(2))
-    assert [t.img for t in ts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [tuple(t.img) for t in ts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_full_and_partial_maps_never_equal():
@@ -243,9 +256,9 @@ def test_omega_power_is_idempotent_and_in_cyclic_subsemigroup():
 def test_restrict_reindexes_ascending():
     a = Transformation([0, 6, 3, 3, 3, 3, 6])
     r = restrict(a, [0, 3, 6])
-    assert r.img == (0, 1, 2)
+    assert tuple(r.img) == (0, 1, 2)
     b = Transformation([3, 0, 6, 6, 6, 6, 0])
-    assert restrict(b, [0, 3, 6]).img == (1, 2, 0)
+    assert tuple(restrict(b, [0, 3, 6]).img) == (1, 2, 0)
 
 
 def test_restrict_rejects_non_invariant_subset():
@@ -258,7 +271,7 @@ def test_restrict_rejects_non_invariant_subset():
 
 def test_embed_partial_frozen():
     b = PartialTransformation([1, None, 0])
-    assert embed_partial(b).img == (1, 3, 0, 3)
+    assert tuple(embed_partial(b).img) == (1, 3, 0, 3)
 
 
 def test_embed_partial_multiplicative_and_injective_p3():

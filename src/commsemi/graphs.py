@@ -4,6 +4,10 @@ The commuting graph of a non-commutative semigroup has the non-central
 elements as vertices and an edge between distinct elements that commute.
 Adjacency lives in Python-int bitsets (bit v of row u = edge u–v), which
 keeps the branch-and-bound clique search allocation-free in the hot path.
+The commuting relation is built one centralizer at a time
+(:func:`commuting_rows`), so a row costs about the size of the centralizer
+rather than the size of the pool, and the clique search takes its root
+order from a bucket-queue degeneracy order.
 """
 
 from __future__ import annotations
@@ -60,17 +64,79 @@ class CliqueResult:
 
 
 def commuting_rows(items: Sequence) -> list[int]:
-    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute."""
-    m = len(items)
-    rows = [0] * m
-    for i in range(m):
-        a = items[i]
-        for j in range(i + 1, m):
-            b = items[j]
-            if product(a, b).img == product(b, a).img:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute.
+
+    Row i is read off the centralizer of a = items[i] instead of testing
+    every pair: b commutes with a iff b(a(x)) = a(b(x)) for every point x,
+    i.e. b is an endomorphism of a's functional digraph.  b is built point
+    by point in index order; a free choice b(x) = v forces b(a(x)) = a(v)
+    along a's forward orbit, and a prefix b(0..x) survives only while some
+    item's image starts with it (a trie of the images).  A partial map is
+    walked as a full map of X ∪ {⊥} that fixes the sentinel ⊥ = n, as
+    :func:`~commsemi.transform.product` treats it, so one walk serves both
+    kinds.  All items must share one kind and degree.
+    """
+    if not items:
+        return []
+    first = items[0]
+    for item in items:
+        product(first, item)  # raises on a mixed kind or degree, with product's message
+    n = len(first.img)
+    trie: list[dict[int, int]] = [{}]  # node -> {value: child}; node 0 is the root
+    leaf_bits: dict[int, int] = {}  # leaf node -> bitset of the items with that image
+    for j, item in enumerate(items):
+        node = 0
+        for v in item.img:
+            kids = trie[node]
+            if v not in kids:
+                kids[v] = len(trie)
+                trie.append({})
+            node = kids[v]
+        leaf_bits[node] = leaf_bits.get(node, 0) | 1 << j
+    b = [-1] * n + [n]  # the map being built; -1 = not yet chosen; b(⊥) = ⊥
+    trail: list[int] = []  # points assigned so far, in order, for undoing
+    return [
+        _walk(0, 0, item.img + bytes([n]), b, trail, trie, leaf_bits) & ~(1 << i)
+        for i, item in enumerate(items)
+    ]
+
+
+def _walk(
+    x: int,
+    node: int,
+    a: bytes,
+    b: list[int],
+    trail: list[int],
+    trie: list[dict[int, int]],
+    leaf_bits: dict[int, int],
+) -> int:
+    """Items in the trie below ``node`` that extend ``b`` and commute with ``a``.
+
+    ``b`` is fixed on the points before x and closed under ``a``: for each
+    assigned y, b(a(y)) = a(b(y)) is assigned too.  Returns the OR of their
+    ``leaf_bits``; ``b`` and ``trail`` are restored before returning.  (A
+    module-level function, not a closure: a recursive closure is a
+    reference cycle that would keep the trie alive until a full collection.)
+    """
+    if x == len(b) - 1:
+        return leaf_bits[node]
+    forced = b[x]
+    if forced >= 0:
+        child = trie[node].get(forced)
+        return 0 if child is None else _walk(x + 1, child, a, b, trail, trie, leaf_bits)
+    row = 0
+    for v, child in trie[node].items():
+        mark = len(trail)
+        y, val = x, v
+        while b[y] < 0:  # ends: every pass assigns one more point
+            b[y] = val
+            trail.append(y)
+            y, val = a[y], a[val]
+        if b[y] == val:
+            row |= _walk(x + 1, child, a, b, trail, trie, leaf_bits)
+        while len(trail) > mark:
+            b[trail.pop()] = -1
+    return row
 
 
 def build(S: SemigroupSet) -> CommGraph:
@@ -105,16 +171,33 @@ def _bits_to_list(bits: int) -> list[int]:
 
 
 def _degeneracy_order(adj: Sequence[int], n: int) -> list[int]:
-    """Repeatedly strip a minimum-degree vertex; returns the removal order."""
+    """Repeatedly strip the vertex of least (degree, index); the removal order.
+
+    A bucket queue (Batagelj & Zaversnik): one bitset of live vertices per
+    current degree.  Removing a vertex of degree d lowers its neighbours'
+    degrees by one, so the next minimum is at least d - 1.
+    """
     alive = (1 << n) - 1
     deg = [(adj[v] & alive).bit_count() for v in range(n)]
+    buckets = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     order = []
+    d = 0
     for _ in range(n):
-        v = min((u for u in range(n) if alive >> u & 1), key=lambda u: (deg[u], u))
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        alive &= ~(1 << v)
+        alive ^= low
         for u in _bits_to_list(adj[v] & alive):
+            bit = 1 << u
+            buckets[deg[u]] ^= bit
             deg[u] -= 1
+            buckets[deg[u]] |= bit
+        d = max(d - 1, 0)
     return order
 
 

@@ -8,6 +8,7 @@ import pytest
 from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
+    _degeneracy_order,
     all_max_cliques_bits,
     build,
     commuting_rows,
@@ -21,8 +22,19 @@ from commsemi.graphs import (
     write_adjacency,
 )
 from commsemi.oracle import max_commutative
-from commsemi.semigroups import SemigroupSet, enumerate_full, enumerate_partial
-from commsemi.transform import PartialTransformation, Transformation
+from commsemi.semigroups import (
+    SemigroupSet,
+    enumerate_full,
+    enumerate_partial,
+    enumerate_sym,
+    idempotents,
+)
+from commsemi.transform import (
+    PartialTransformation,
+    Transformation,
+    omega_power,
+    product,
+)
 
 
 def graph_of(n, edges):
@@ -32,6 +44,37 @@ def graph_of(n, edges):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return CommGraph(enumerate_full(2), tuple(range(n)), adj, ())
+
+
+def random_graph(rng, n, p):
+    """A seeded G(n, p) bitset adjacency list."""
+    return graph_of(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    ).adj
+
+
+def pair_rows(items):
+    """The commuting relation by its definition: ab = ba, pair by pair."""
+    rows = [0] * len(items)
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            b = items[j]
+            if product(a, b) == product(b, a):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def strip_order(adj, n):
+    """Degeneracy order by definition: strip the least (degree, index) vertex."""
+    alive = (1 << n) - 1
+    order = []
+    while alive:
+        live = [u for u in range(n) if alive >> u & 1]
+        v = min(live, key=lambda u: ((adj[u] & alive).bit_count(), u))
+        order.append(v)
+        alive ^= 1 << v
+    return order
 
 
 def naive_max_cliques(adj):
@@ -112,6 +155,121 @@ class TestBuild:
             assert not rows[i] >> i & 1
             for j in range(len(S)):
                 assert rows[i] >> j & 1 == rows[j] >> i & 1
+
+
+class TestCommutingRows:
+    """The centralizer walk against the pair-by-pair definition."""
+
+    def test_whole_monoids(self):
+        for S in (enumerate_full(3), enumerate_full(4), enumerate_partial(3), enumerate_partial(4)):
+            assert commuting_rows(S.elements) == pair_rows(S.elements)
+
+    def test_idempotents_and_omega_classes(self):
+        pool = list(idempotents(enumerate_full(5)))
+        assert commuting_rows(pool) == pair_rows(pool)
+        classes = {}
+        for a in enumerate_full(4):
+            classes.setdefault(omega_power(a), []).append(a)
+        assert len(classes) == 41
+        for cls in classes.values():
+            assert commuting_rows(cls) == pair_rows(cls)
+
+    def test_symmetric_group_without_identity(self):
+        pool = enumerate_sym(5).elements[1:]
+        assert Transformation.identity(5) not in pool
+        assert commuting_rows(pool) == pair_rows(pool)
+
+    def test_shuffled_order(self):
+        rng = random.Random(11)
+        for S in (enumerate_full(4), enumerate_partial(3)):
+            pool = list(S.elements)
+            rng.shuffle(pool)
+            assert commuting_rows(pool) == pair_rows(pool)
+
+    def test_random_pools(self):
+        rng = random.Random(3)
+        for n in (7, 8, 9):
+            for cls, values in (
+                (Transformation, list(range(n))),
+                (PartialTransformation, [*range(n), None]),
+            ):
+                pool = []
+                for _ in range(12):
+                    a = cls(rng.choice(values) for _ in range(n))
+                    # a's powers and ω-power commute with it; repeats are kept
+                    pool += [a, a * a, a * a * a, omega_power(a)]
+                rows = commuting_rows(pool)
+                assert rows == pair_rows(pool)
+                assert sum(row.bit_count() for row in rows) > 3 * len(pool)
+
+    def test_empty_and_single(self):
+        assert commuting_rows([]) == []
+        assert commuting_rows([Transformation([1, 0])]) == [0]
+        assert commuting_rows([PartialTransformation([None, 0])]) == [0]
+
+    def test_mixed_kind_or_degree_raises(self):
+        full, partial = Transformation([1, 0]), PartialTransformation([1, 0])
+        with pytest.raises(TypeError, match="kinds must match"):
+            commuting_rows([full, full, partial])
+        with pytest.raises(TypeError, match="kinds must match"):
+            commuting_rows([partial, full])
+        with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+            commuting_rows([full, Transformation([0, 1, 2])])
+
+
+class TestDegeneracyOrder:
+    def test_random_graphs(self):
+        rng = random.Random(8)
+        assert _degeneracy_order([], 0) == []
+        for n in (1, 2, 5, 9):
+            assert _degeneracy_order([0] * n, n) == list(range(n))
+            complete = graph_of(n, [(u, v) for u in range(n) for v in range(u + 1, n)]).adj
+            assert _degeneracy_order(complete, n) == list(range(n))
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            adj = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
+            assert _degeneracy_order(adj, n) == strip_order(adj, n)
+
+    def test_commuting_graphs(self):
+        for S in (enumerate_full(4), enumerate_partial(3)):
+            adj = build(S).adj
+            assert _degeneracy_order(adj, len(adj)) == strip_order(adj, len(adj))
+
+    def test_full_4_witness_is_pinned(self):
+        r = max_clique(build(enumerate_full(4)))
+        assert (r.size, r.witness) == (7, (0, 3, 8, 11, 16, 19, 24))
+
+
+class TestNetworkxCrossCheck:
+    """Clique numbers and girths against networkx, where it is installed."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(21)
+        for S in (enumerate_full(3), enumerate_full(4), enumerate_partial(3)):
+            yield build(S).adj
+        for _ in range(20):
+            yield random_graph(rng, rng.randint(0, 25), rng.choice([0.08, 0.2, 0.5]))
+
+    @staticmethod
+    def to_networkx(nx, adj):
+        G = nx.Graph()
+        G.add_nodes_from(range(len(adj)))
+        for u, row in enumerate(adj):
+            G.add_edges_from((u, w) for w in range(u + 1, len(adj)) if row >> w & 1)
+        return G
+
+    def test_clique_number(self):
+        nx = pytest.importorskip("networkx")
+        for adj in self.cases():
+            _, size = nx.max_weight_clique(self.to_networkx(nx, adj), weight=None)
+            assert max_clique_bits(adj)[0] == size
+
+    def test_girth(self):
+        nx = pytest.importorskip("networkx")
+        for adj in self.cases():
+            g = CommGraph(enumerate_full(2), tuple(range(len(adj))), adj, ())
+            assert girth(g) == nx.girth(self.to_networkx(nx, adj))
 
 
 class TestCliqueSearch:

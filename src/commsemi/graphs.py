@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroups import SemigroupSet
+from .semigroups import SemigroupSet, center
 from .transform import product
 
 INFINITY = math.inf
@@ -147,18 +147,11 @@ def build(S: SemigroupSet) -> CommGraph:
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    rows = commuting_rows(S.elements)
-    m = len(S)
-    full = (1 << m) - 1
-    vertices = tuple(i for i in range(m) if rows[i] | (1 << i) != full)
-    center = tuple(i for i in range(m) if rows[i] | (1 << i) == full)
-    index_of = {g: l for l, g in enumerate(vertices)}
-    adj = [0] * len(vertices)
-    for l, g in enumerate(vertices):
-        for other in _bits_to_list(rows[g]):
-            if other in index_of:
-                adj[l] |= 1 << index_of[other]
-    return CommGraph(S, vertices, adj, center)
+    central = set(center(S))
+    elems = S.elements
+    vertices = tuple(i for i, a in enumerate(elems) if a not in central)
+    center_indices = tuple(i for i, a in enumerate(elems) if a in central)
+    return CommGraph(S, vertices, commuting_rows([elems[i] for i in vertices]), center_indices)
 
 
 def _bits_to_list(bits: int) -> list[int]:
@@ -236,32 +229,34 @@ def max_clique_bits(adj: Sequence[int]) -> tuple[int, list[int], int]:
     n = len(adj)
     if n == 0:
         return 0, [], 0
-    best_size = 0
     best: list[int] = []
-    nodes = 0
-    R: list[int] = []
-
-    def expand(P_bits: int, P_list: list[int]) -> None:
-        nonlocal best_size, best, nodes
-        nodes += 1
-        order, bounds = _color_sort(P_list, adj)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(R) + bounds[idx] <= best_size:
-                return
-            v = order[idx]
-            R.append(v)
-            new_bits = P_bits & adj[v]
-            if new_bits:
-                expand(new_bits, _bits_to_list(new_bits))
-            elif len(R) > best_size:
-                best_size = len(R)
-                best = R.copy()
-            R.pop()
-            P_bits &= ~(1 << v)
-
     root = list(reversed(_degeneracy_order(adj, n)))
-    expand((1 << n) - 1, root)
-    return best_size, sorted(best), nodes
+    nodes = _expand((1 << n) - 1, root, adj, [], best)
+    return len(best), sorted(best), nodes
+
+
+def _expand(P_bits: int, P_list: list[int], adj: Sequence[int], R: list, best: list) -> int:
+    """One B&B node extending the clique R from P; returns the nodes visited.
+
+    ``best`` is the incumbent, replaced in place when a larger clique turns
+    up.  (Module-level, as :func:`_walk` is: a recursive closure is a
+    reference cycle.)
+    """
+    nodes = 1
+    order, bounds = _color_sort(P_list, adj)
+    for idx in range(len(order) - 1, -1, -1):
+        if len(R) + bounds[idx] <= len(best):
+            break
+        v = order[idx]
+        R.append(v)
+        new_bits = P_bits & adj[v]
+        if new_bits:
+            nodes += _expand(new_bits, _bits_to_list(new_bits), adj, R, best)
+        elif len(R) > len(best):
+            best[:] = R
+        R.pop()
+        P_bits &= ~(1 << v)
+    return nodes
 
 
 def all_max_cliques_bits(adj: Sequence[int], target: int) -> list[tuple[int, ...]]:
@@ -276,28 +271,28 @@ def all_max_cliques_bits(adj: Sequence[int], target: int) -> list[tuple[int, ...
     n = len(adj)
     if target == 0:
         return [()] if n == 0 else []
-    above = [~((1 << (v + 1)) - 1) for v in range(n)]
     out: list[tuple[int, ...]] = []
-    R: list[int] = []
-
-    def rec(P_bits: int) -> None:
-        if len(R) == target:
-            out.append(tuple(R))
-            return
-        need = target - len(R)
-        if P_bits.bit_count() < need:
-            return
-        P_list = _bits_to_list(P_bits)
-        _, bounds = _color_sort(P_list, adj)
-        if bounds and bounds[-1] < need:
-            return
-        for v in P_list:
-            R.append(v)
-            rec(P_bits & adj[v] & above[v])
-            R.pop()
-
-    rec((1 << n) - 1)
+    _cliques_of_size((1 << n) - 1, adj, target, [], out)
     return out
+
+
+def _cliques_of_size(P_bits: int, adj: Sequence[int], target: int, R: list, out: list) -> None:
+    """Append to ``out`` every ``target``-clique that extends R by vertices of P."""
+    if len(R) == target:
+        out.append(tuple(R))
+        return
+    need = target - len(R)
+    if P_bits.bit_count() < need:
+        return
+    P_list = _bits_to_list(P_bits)
+    _, bounds = _color_sort(P_list, adj)
+    if bounds and bounds[-1] < need:
+        return
+    for v in P_list:
+        P_bits ^= 1 << v
+        R.append(v)
+        _cliques_of_size(P_bits & adj[v], adj, target, R, out)
+        R.pop()
 
 
 def max_clique(g: CommGraph) -> CliqueResult:
@@ -377,34 +372,42 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
             commute_memo[key] = product(a, b) == product(b, a)
         return commute_memo[key]
 
-    m = len(elems)
+    def steps(path: list[int]):
+        tail = path[-1]
+        return (
+            j
+            for j in range(len(elems))
+            if j not in path and not central(j) and commute(tail, j)
+        )
 
     def is_left_path(path: list[int]) -> bool:
         first, last = elems[path[0]], elems[path[-1]]
         return all(product(first, elems[i]) == product(last, elems[i]) for i in path)
 
     for length in range(1, max_len + 1):
-        # depth-first over vertex sequences of `length` edges
-        def extend(path: list[int]) -> list[int] | None:
-            if len(path) == length + 1:
-                return path.copy() if is_left_path(path) else None
-            tail = path[-1]
-            for j in range(m):
-                if j in path or central(j) or not commute(tail, j):
-                    continue
-                path.append(j)
-                found = extend(path)
-                path.pop()
-                if found:
-                    return found
-            return None
-
-        for start in range(m):
+        for start in range(len(elems)):
             if central(start):
                 continue
-            found = extend([start])
+            found = _extend_path([start], length, steps, is_left_path)
             if found:
                 return [elems[i] for i in found]
+    return None
+
+
+def _extend_path(path: list[int], length: int, steps, is_left_path) -> list[int] | None:
+    """Depth-first: the first left path of ``length`` edges that extends ``path``.
+
+    ``steps(path)`` yields the vertices that may extend it.  (Module-level:
+    a recursive closure is a reference cycle.)
+    """
+    if len(path) == length + 1:
+        return path.copy() if is_left_path(path) else None
+    for j in steps(path):
+        path.append(j)
+        found = _extend_path(path, length, steps, is_left_path)
+        path.pop()
+        if found:
+            return found
     return None
 
 

@@ -3,20 +3,23 @@
 Every "largest commutative such-and-such" question is reduced to an exact
 maximum-clique problem on a small induced graph:
 
-* commutative: cliques of the commuting graph, answer ω + |center|;
+* commutative: cliques of the commuting graph; the center is not split
+  off, since a central element is adjacent to every other vertex and so
+  lies in every maximum clique;
 * commutative of idempotents: the same graph induced on the idempotents;
 * unique idempotent: for each idempotent f, the commuting graph induced on
   the elements whose power sequence stabilises at f (a maximum clique there
   automatically contains f and is product-closed, since powers and products
   of commuting elements stay in the class);
 * null: for each idempotent z, vertices with square z that absorb z (all
-  in z's ω-class), and adjacency "both products equal z";
+  in z's ω-class), and adjacency "commuting pairs whose product is z";
 * abelian subgroup: the commuting graph of the symmetric group.
 
-None of the reductions is taken on faith: every answer set is re-checked
-for product closure (and whatever structure the claim demands) before it is
-reported, and the module-wide counter records every such check so a test
-run can assert that no violation ever occurred.
+The first four share one driver, :func:`_search`.  None of the reductions
+is taken on faith: every answer set is re-checked for product closure (and
+whatever structure the claim demands) before it is reported, and the
+module-wide counter records every such check so a test run can assert that
+no violation ever occurred.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from .extremal import (
     e_ix,
     gamma,
     null_max,
-    null_plus_identity,
     omega_pn,
     xi_alpha,
     xi_table,
 )
 from .graphs import (
+    _bits_to_list,
     all_max_cliques_bits,
     build,
     commuting_rows,
@@ -47,7 +50,6 @@ from .graphs import (
 from .semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
-    center,
     classify_small_abelian_group,
     closure,
     enumerate_full,
@@ -145,11 +147,6 @@ def _enumerate(claim: str, n: int, kind: str) -> SemigroupSet:
     return enumerate_full(n) if kind == "full" else enumerate_partial(n)
 
 
-def _sorted_results(pairs) -> tuple[tuple[SemigroupSet, ...], tuple[str, ...]]:
-    pairs = sorted(pairs, key=lambda st: st[0].elements)
-    return tuple(s for s, _ in pairs), tuple(t for _, t in pairs)
-
-
 # ---------------------------------------------------------------------------
 # maximizer tagging
 
@@ -199,37 +196,49 @@ def _tag_unique_idem(T: SemigroupSet) -> str:
 # the five oracle searches
 
 
-def _cliques_plus_center(S: SemigroupSet, pool, central: list, context: str) -> OracleResult:
-    """Every maximum clique of the commuting graph on pool ∖ central, plus central."""
-    central_set = set(central)
-    verts = [a for a in pool if a not in central_set]
-    adj = commuting_rows(verts)
-    omega, _, _ = max_clique_bits(adj)
+def _search(pools, context: str, tag, check) -> OracleResult:
+    """Every maximum clique over the pools that reach the best clique number.
+
+    Each pool is ``(key, items, adj)`` with ``adj`` a bitset adjacency on
+    ``items``.  Every answer is re-checked by :func:`_checked_set`, must
+    satisfy ``check(T, key)`` and is labelled by ``tag(T)``; the answers
+    come back in canonical order.
+    """
+    scored = [(key, items, adj, max_clique_bits(adj)[0]) for key, items, adj in pools]
+    best = max(size for *_, size in scored)
     results = []
-    for K in all_max_cliques_bits(adj, omega):
-        T = _checked_set([verts[i] for i in K] + central, context=context)
-        results.append((T, _tag_commutative(T)))
-    maximizers, tags = _sorted_results(results)
-    return OracleResult(omega + len(central), maximizers, tags)
+    for key, items, adj, size in scored:
+        if size != best:
+            continue
+        for K in all_max_cliques_bits(adj, size):
+            T = _checked_set([items[i] for i in K], context=f"{context}, pool {key!r}")
+            if not check(T, key):
+                raise RuntimeError(f"{context}: pool {key!r} produced {T!r}, which fails its check")
+            results.append((T, tag(T)))
+    results.sort(key=lambda st: st[0].elements)
+    return OracleResult(best, tuple(T for T, _ in results), tuple(t for _, t in results))
 
 
 def max_commutative(n: int, kind: str) -> OracleResult:
     """Largest commutative subsemigroup, with every maximizer enumerated."""
-    S = _enumerate("comm-max", n, kind)
-    central = list(center(S).elements)
-    return _cliques_plus_center(S, S.elements, central, f"max_commutative({n},{kind})")
+    items = _enumerate("comm-max", n, kind).elements
+    return _search(
+        [(kind, items, commuting_rows(items))],
+        f"max_commutative({n},{kind})",
+        _tag_commutative,
+        lambda T, _: True,
+    )
 
 
 def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
     """Largest commutative subsemigroup consisting of idempotents."""
-    S = _enumerate("idem-max", n, kind)
-    central = [a for a in center(S) if is_idempotent(a)]
-    r = _cliques_plus_center(
-        S, idempotents(S), central, f"max_commutative_idempotent({n},{kind})"
+    items = idempotents(_enumerate("idem-max", n, kind))
+    return _search(
+        [(kind, items, commuting_rows(items))],
+        f"max_commutative_idempotent({n},{kind})",
+        _tag_commutative,
+        lambda T, _: all(is_idempotent(a) for a in T),
     )
-    if not all(is_idempotent(a) for T in r.maximizers for a in T):
-        raise RuntimeError("idempotent search produced a non-idempotent element")
-    return r
 
 
 def _omega_classes(S: SemigroupSet) -> dict:
@@ -252,79 +261,49 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     and contain f.
     """
     S = _enumerate("unique-idem-max", n, kind)
-    per_class = {}
-    best = 0
-    for f, items in _omega_classes(S).items():
-        adj = commuting_rows(items)
-        size, _, _ = max_clique_bits(adj)
-        per_class[f] = (items, adj, size)
-        best = max(best, size)
-    results = []
-    for f, (items, adj, size) in sorted(per_class.items(), key=lambda kv: kv[0]):
-        if size != best:
-            continue
-        for K in all_max_cliques_bits(adj, size):
-            elems = [items[i] for i in K]
-            T = _checked_set(elems, context=f"max_unique_idempotent({n},{kind},f={f!r})")
-            if not has_unique_idempotent(T) or unique_idempotent(T) != f:
-                raise RuntimeError(
-                    f"class of {f!r} produced a clique with foreign idempotents"
-                )
-            results.append((T, _tag_unique_idem(T)))
-    maximizers, tags = _sorted_results(results)
-    return OracleResult(best, maximizers, tags)
+    return _search(
+        [(f, items, commuting_rows(items)) for f, items in _omega_classes(S).items()],
+        f"max_unique_idempotent({n},{kind})",
+        _tag_unique_idem,
+        lambda T, f: has_unique_idempotent(T) and unique_idempotent(T) == f,
+    )
 
 
 def max_null(n: int, kind: str) -> OracleResult:
     """Largest null subsemigroup; also cross-checks the nilpotent maximum.
 
     For a candidate zero z, a null semigroup with zero z is exactly a clique
-    under the adjacency "both products equal z" on the vertices with square
-    z that absorb z.  Those vertices lie in z's ω-class (a² = z forces
+    of commuting pairs whose product is z, on the vertices with square z
+    that absorb z.  Those vertices lie in z's ω-class (a² = z forces
     ω(a) = z), so both routes search the ω-classes, computed once.  The
     nilpotent maximum (commuting cliques on {α : ω-power = z, αz = zα = z})
     must agree with the null maximum at these degrees; a disagreement aborts.
     """
     S = _enumerate("null-max", n, kind)
-    per_zero = {}
-    best = 0
+    pools = []
     best_nilpotent = 0
-    for z, cls in sorted(_omega_classes(S).items(), key=lambda kv: kv[0]):
+    for z, cls in _omega_classes(S).items():
         nil = [a for a in cls if product(a, z) == z and product(z, a) == z]
         items = [a for a in nil if product(a, a) == z]
-        m = len(items)
-        adj = [0] * m
-        for i in range(m):
-            a = items[i]
-            for j in range(i + 1, m):
-                b = items[j]
-                if product(a, b) == z and product(b, a) == z:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        size, _, _ = max_clique_bits(adj)
-        per_zero[z] = (items, adj, size)
-        best = max(best, size)
+        adj = [
+            sum(1 << j for j in _bits_to_list(row) if product(a, items[j]) == z)
+            for a, row in zip(items, commuting_rows(items))
+        ]
+        pools.append((z, items, adj))
         # independent route: largest commutative nilpotent subsemigroup
         best_nilpotent = max(best_nilpotent, max_clique_bits(commuting_rows(nil))[0])
-    if best_nilpotent != best:
+    r = _search(
+        pools,
+        f"max_null({n},{kind})",
+        _tag_null,
+        lambda T, z: is_null(T) == (True, z),
+    )
+    if best_nilpotent != r.size:
         raise RuntimeError(
-            f"nilpotent maximum {best_nilpotent} disagrees with null maximum {best} "
+            f"nilpotent maximum {best_nilpotent} disagrees with null maximum {r.size} "
             f"at n={n}, kind={kind}"
         )
-
-    results = []
-    for z, (items, adj, size) in per_zero.items():
-        if size != best:
-            continue
-        for K in all_max_cliques_bits(adj, size):
-            elems = [items[i] for i in K]
-            T = _checked_set(elems, context=f"max_null({n},{kind},z={z!r})")
-            ok, zero = is_null(T)
-            if not ok or zero != z:
-                raise RuntimeError(f"null search for zero {z!r} produced a non-null set")
-            results.append((T, _tag_null(T)))
-    maximizers, tags = _sorted_results(results)
-    return OracleResult(best, maximizers, tags)
+    return r
 
 
 def max_abelian_subgroup(n: int) -> OracleResult:
@@ -343,7 +322,7 @@ def max_abelian_subgroup(n: int) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# generators and out-of-regime bounds
+# the random generator
 
 
 def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
@@ -393,27 +372,6 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
             f"after 2000 attempts (seed {seed})"
         )
     return best
-
-
-def conjecture_lower_bound(n: int) -> tuple[int, SemigroupSet]:
-    """Certified lower bound ξ(n)+1 beyond the exact regime; not a maximum.
-
-    The set is the maximal null semigroup plus the identity; its size,
-    commutativity, closure, and two-idempotent structure are re-verified
-    element by element here.
-    """
-    if n < 7:
-        raise ValueError(f"the exact theorems cover n < 7; got {n}")
-    if n > 12:
-        raise ValueError(f"lower-bound construction capped at n = 12; got {n}")
-    S = null_plus_identity(n)
-    expected = TABLE1[n][1] + 1
-    if len(S) != expected:
-        raise RuntimeError(f"lower bound has size {len(S)}, expected {expected}")
-    idem_count = sum(1 for a in S if is_idempotent(a))
-    if idem_count != 2:
-        raise RuntimeError(f"lower bound has {idem_count} idempotents, expected 2")
-    return len(S), S
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,6 @@ class SemigroupSet:
             )
         return self._commutative
 
-    def identity_element(self) -> AnyTransformation:
-        if self.kind == FULL:
-            return Transformation.identity(self.degree)
-        return PartialTransformation.identity(self.degree)
-
-
-def is_commutative(S: SemigroupSet) -> bool:
-    return S.is_commutative()
-
 
 def closure(
     generators: Iterable[AnyTransformation] | SemigroupSet,
@@ -166,11 +157,13 @@ def _require_closed(S: SemigroupSet, op: str) -> None:
         raise ValueError(f"{op} requires a product-closed set")
 
 
-def center(S: SemigroupSet) -> SemigroupSet:
-    """Z(S): the elements commuting with everything in S."""
+def center(S: SemigroupSet) -> tuple[AnyTransformation, ...]:
+    """Z(S): the elements commuting with everything in S, in canonical order.
+
+    A tuple rather than a SemigroupSet, since the center may be empty.
+    """
     _require_closed(S, "center")
-    central = [a for a in S if all(compose(a, b) == compose(b, a) for b in S)]
-    return SemigroupSet(central, commutative=True)
+    return tuple(a for a in S if all(compose(a, b) == compose(b, a) for b in S))
 
 
 def idempotents(S: SemigroupSet) -> list[AnyTransformation]:

@@ -190,10 +190,6 @@ def product(a: AnyTransformation, b: AnyTransformation) -> AnyTransformation:
 compose_partial = compose = product
 
 
-def rank(a: AnyTransformation) -> int:
-    return a.rank()
-
-
 def is_idempotent(a: AnyTransformation) -> bool:
     return product(a, a) == a
 

@@ -231,24 +231,26 @@ def _relabel(leaves: Sequence[Word]) -> list[Word]:
     Children are visited in ascending current-letter order, which coincides
     with ordering sibling subtrees by their lexicographically least leaf.
     """
-    depth = len(leaves[0])
     out: list[Word] = []
-    acc: list[int] = []
-
-    def rec(group: list[Word], d: int) -> None:
-        if d == depth:
-            out.append(tuple(acc))
-            return
-        by: dict[int, list[Word]] = {}
-        for w in group:
-            by.setdefault(w[d], []).append(w)
-        for new_letter, letter in enumerate(sorted(by)):
-            acc.append(new_letter)
-            rec(by[letter], d + 1)
-            acc.pop()
-
-    rec(sorted(leaves), 0)
+    _relabel_group(sorted(leaves), 0, len(leaves[0]), [], out)
     return out
+
+
+def _relabel_group(group: list[Word], d: int, depth: int, acc: list[int], out: list[Word]) -> None:
+    """Relabel the leaves of one subtree, whose letters before d are ``acc``.
+
+    (Module-level: a recursive closure is a reference cycle.)
+    """
+    if d == depth:
+        out.append(tuple(acc))
+        return
+    by: dict[int, list[Word]] = {}
+    for w in group:
+        by.setdefault(w[d], []).append(w)
+    for new_letter, letter in enumerate(sorted(by)):
+        acc.append(new_letter)
+        _relabel_group(by[letter], d + 1, depth, acc, out)
+        acc.pop()
 
 
 def _validate_m(M: SemigroupSet, r: int, t: int, needed: int) -> None:

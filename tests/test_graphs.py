@@ -1,5 +1,6 @@
 """Tests for commuting graphs, clique search, girth, and left paths."""
 
+import gc
 import math
 import random
 
@@ -21,7 +22,7 @@ from commsemi.graphs import (
     shortest_left_path,
     write_adjacency,
 )
-from commsemi.oracle import max_commutative
+from commsemi.oracle import max_commutative, max_null
 from commsemi.semigroups import (
     SemigroupSet,
     enumerate_full,
@@ -35,6 +36,7 @@ from commsemi.transform import (
     omega_power,
     product,
 )
+from commsemi.trees import _relabel
 
 
 def graph_of(n, edges):
@@ -440,3 +442,27 @@ class TestSerialization:
         assert '[label="[1 -]"]' in dot
         assert dot.count(" -- ") == 1
         assert dot.endswith("}\n")
+
+
+T3_ROWS = commuting_rows(enumerate_full(3).elements)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: max_clique_bits(T3_ROWS),
+        lambda: all_max_cliques_bits(T3_ROWS, 4),
+        lambda: shortest_left_path(enumerate_full(3)),
+        lambda: _relabel([(0, 1, 2), (0, 1, 0), (2, 0, 1)]),
+        lambda: max_null(4, "full"),
+    ],
+    ids=["max_clique_bits", "all_max_cliques_bits", "shortest_left_path", "relabel", "max_null"],
+)
+def test_recursive_searches_leave_no_reference_cycles(call):
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Exhaustive-search cross-checks of the frozen extremal values."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -7,9 +8,7 @@ import pytest
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn
 from commsemi.oracle import (
     ABELIAN_ORDERS,
-    TABLE1,
     closure_check_stats,
-    conjecture_lower_bound,
     expected_value,
     max_abelian_subgroup,
     max_commutative,
@@ -20,6 +19,7 @@ from commsemi.oracle import (
     reset_closure_stats,
 )
 from commsemi.semigroups import has_unique_idempotent, is_group, unique_idempotent
+from commsemi.serialization import semigroup_digest
 from commsemi.transform import Transformation
 
 
@@ -154,6 +154,118 @@ class TestMaxNull:
             assert holds(r, omega_pn(3, [b]))
 
 
+# Every maximizer of the four clique searches at the cheap degrees:
+# (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
+# semigroup digests of the maximizers, in the order returned).
+PINNED_MAXIMIZERS = [
+    (max_commutative, 1, "full", 1,
+     "GAMMA:0",
+     "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
+    (max_commutative, 2, "full", 2,
+     "GAMMA:0 GROUP:C2 GAMMA:1",
+     "e31b1cf741e7d4fac2414b761f629aa0f1c9bea3978d1c7c0f11b2f2f3ba0340"),
+    (max_commutative, 3, "full", 4,
+     "GAMMA:0 GAMMA:1 GAMMA:2",
+     "95634023d93db7c43dd6e79e296c5c4f10e0ea79d7b3df64bfef89324607f6b0"),
+    (max_commutative, 4, "full", 8,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
+     "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative, 1, "partial", 2,
+     "EIX",
+     "14f7f02a1d5ade08e6b4ca4afc1b727950ed5313f9ca95b90fe063ebcefa88ea"),
+    (max_commutative, 2, "partial", 4,
+     "EIX",
+     "14fab69fa2a3a500597c682921cec4d1fe2cad7397642b148fb51debbf8f7f6f"),
+    (max_commutative, 3, "partial", 8,
+     "EIX",
+     "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_commutative_idempotent, 1, "full", 1,
+     "GAMMA:0",
+     "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
+    (max_commutative_idempotent, 2, "full", 2,
+     "GAMMA:0 GAMMA:1",
+     "47ab172ef183a7f9567c7ba3bd693284d6ef17bd09a45b299a3e54e444bccdcd"),
+    (max_commutative_idempotent, 3, "full", 4,
+     "GAMMA:0 GAMMA:1 GAMMA:2",
+     "95634023d93db7c43dd6e79e296c5c4f10e0ea79d7b3df64bfef89324607f6b0"),
+    (max_commutative_idempotent, 4, "full", 8,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
+     "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative_idempotent, 1, "partial", 2,
+     "EIX",
+     "14f7f02a1d5ade08e6b4ca4afc1b727950ed5313f9ca95b90fe063ebcefa88ea"),
+    (max_commutative_idempotent, 2, "partial", 4,
+     "EIX",
+     "14fab69fa2a3a500597c682921cec4d1fe2cad7397642b148fb51debbf8f7f6f"),
+    (max_commutative_idempotent, 3, "partial", 8,
+     "EIX",
+     "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_unique_idempotent, 1, "full", 1,
+     "GROUP:C1",
+     "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
+    (max_unique_idempotent, 2, "full", 2,
+     "GROUP:C2",
+     "8f5f2b672d82deab65deeb348d4935599cbf1569fd9af3768c10b7e7021f211d"),
+    (max_unique_idempotent, 3, "full", 3,
+     "GROUP:C3",
+     "a90eb54129aae51c2d5aad9da7bb397b9710f145db09510b40d88fbb2898541e"),
+    (max_unique_idempotent, 4, "full", 4,
+     (
+         "NULL:N(0;1) NULL:N(0;2) NULL:N(0;3) GROUP:C2xC2 GROUP:C2xC2 "
+         "GROUP:C2xC2 GROUP:C2xC2 GROUP:C4 GROUP:C4 GROUP:C4 NULL:N(1;0) "
+         "NULL:N(1;2) NULL:N(1;3) NULL:N(2;1) NULL:N(3;1) NULL:N(2;0) "
+         "NULL:N(2;3) NULL:N(3;2) NULL:N(3;0)"
+     ),
+     "73b84636cabacbacc17072cc50a436a72a834527fc6f3be93c486da43db82456"),
+    (max_unique_idempotent, 1, "partial", 1,
+     "GROUP:C1 GROUP:C1",
+     "3fba01fcdc3fcc34e0c2b1cc4d8bc93091e336a2db2bc078c15d9508dd2fee8b"),
+    (max_unique_idempotent, 2, "partial", 2,
+     "GROUP:C2 NULL:OMEGA(1) NULL:OMEGA(0)",
+     "9d59da04660a9f752552bcc4a0c59f7a3fd25309d9c9f8a51bf397cb604855ad"),
+    (max_unique_idempotent, 3, "partial", 4,
+     "NULL:OMEGA(1) NULL:OMEGA(2) NULL:OMEGA(0)",
+     "417dc428268086ea332ced66685c7131f3fd4af5fa44a845426e09374ff7dd77"),
+    (max_null, 1, "full", 1,
+     "ID",
+     "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
+    (max_null, 2, "full", 1,
+     "NULL:N(0;1) ID NULL:N(1;0)",
+     "fd93daee5d9a927a74bfe5e89b67816f8b6d03b8268384750cd5173c013a9c0b"),
+    (max_null, 3, "full", 2,
+     (
+         "NULL:N(0;1) NULL:N(0;2) NULL:N(1;0) NULL:N(1;2) NULL:N(2;1) "
+         "NULL:N(2;0)"
+     ),
+     "e0ba66d7c42e735351e0c92421c3654ffbfb0125c05ff3b5780677083faee7ea"),
+    (max_null, 4, "full", 4,
+     (
+         "NULL:N(0;1) NULL:N(0;2) NULL:N(0;3) NULL:N(1;0) NULL:N(1;2) "
+         "NULL:N(1;3) NULL:N(2;1) NULL:N(3;1) NULL:N(2;0) NULL:N(2;3) "
+         "NULL:N(3;2) NULL:N(3;0)"
+     ),
+     "f7254a9de7b63b09432e56774f5706772e069807682a943d3b9e785b6d9b8db4"),
+    (max_null, 1, "partial", 1,
+     "NULL:? NULL:OMEGA(0)",
+     "3fba01fcdc3fcc34e0c2b1cc4d8bc93091e336a2db2bc078c15d9508dd2fee8b"),
+    (max_null, 2, "partial", 2,
+     "NULL:OMEGA(1) NULL:OMEGA(0)",
+     "e72714cf75d14c3546bbbd11b8507c0a8bcce5aa79dded1fdd04ed245857a2d2"),
+    (max_null, 3, "partial", 4,
+     "NULL:OMEGA(1) NULL:OMEGA(2) NULL:OMEGA(0)",
+     "417dc428268086ea332ced66685c7131f3fd4af5fa44a845426e09374ff7dd77"),
+]
+
+
+@pytest.mark.parametrize("search, n, kind, size, tags, digest", PINNED_MAXIMIZERS)
+def test_pinned_maximizers(search, n, kind, size, tags, digest):
+    r = search(n, kind)
+    assert r.size == size
+    assert " ".join(r.tags) == tags
+    joined = "\n".join(semigroup_digest(T) for T in r.maximizers)
+    assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+
+
 class TestMaxAbelianSubgroup:
     def test_matches_the_orders(self):
         for n in range(2, 7):
@@ -192,21 +304,6 @@ class TestRandomGenerator:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             random_commutative_unique_idem(1, 0)
-
-
-class TestConjectureLowerBound:
-    def test_sizes(self):
-        size, S = conjecture_lower_bound(7)
-        assert size == len(S) == TABLE1[7][1] + 1 == 82
-        assert S.is_commutative()
-        size, S = conjecture_lower_bound(12)
-        assert size == len(S) == TABLE1[12][1] + 1 == 78126
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            conjecture_lower_bound(6)
-        with pytest.raises(ValueError):
-            conjecture_lower_bound(13)
 
 
 class TestCaps:

@@ -73,11 +73,6 @@ class TestSemigroupSet:
         T = SemigroupSet([Transformation([1, 2, 0])])
         assert not T.is_closed()
 
-    def test_identity_element(self):
-        assert SemigroupSet([Transformation([0, 0])]).identity_element() == Transformation.identity(2)
-        E = SemigroupSet([PartialTransformation.empty(2)])
-        assert E.identity_element() == PartialTransformation.identity(2)
-
 
 class TestClosure:
     def test_cyclic_c3(self):
@@ -138,7 +133,12 @@ class TestCenter:
 
     def test_commutative_center_is_everything(self):
         S = example_semigroup()
-        assert center(S) == S
+        assert center(S) == S.elements
+
+    def test_empty_center(self):
+        constants = closure([Transformation.constant(3, x) for x in range(3)])
+        assert len(constants) == 3
+        assert center(constants) == ()
 
     def test_requires_closed(self):
         with pytest.raises(ValueError):

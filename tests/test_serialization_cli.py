@@ -236,6 +236,16 @@ class TestCliAnalyze:
         assert "further structure" in out
         assert "null:" not in out
 
+    def test_empty_center(self, capsys, tmp_path):
+        path = tmp_path / "constants.json"
+        path.write_text('{"degree":3,"kind":"full","elements":[[0,0,0],[1,1,1],[2,2,2]]}')
+        assert cli.run(["analyze", str(path)]) == 0
+        assert "center size: 0" in capsys.readouterr().out
+        assert cli.run(["graph", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 3" in out
+        assert "center size: 0" in out
+
     def test_missing_file(self, capsys):
         assert cli.run(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from commsemi.transform import (
     is_idempotent,
     omega_power,
     product,
-    rank,
     restrict,
 )
 
@@ -115,10 +114,10 @@ def test_partial_identity_on():
 
 
 def test_rank():
-    assert rank(Transformation([0, 0, 0])) == 1
-    assert rank(Transformation([1, 0, 2])) == 3
-    assert rank(PartialTransformation([None, None, 1])) == 1
-    assert rank(PartialTransformation.empty(5)) == 0
+    assert Transformation([0, 0, 0]).rank() == 1
+    assert Transformation([1, 0, 2]).rank() == 3
+    assert PartialTransformation([None, None, 1]).rank() == 1
+    assert PartialTransformation.empty(5).rank() == 0
 
 
 def test_validation_errors():

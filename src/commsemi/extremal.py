@@ -86,9 +86,10 @@ def _check_null_shape(elems: Sequence, points: Sequence[int]) -> None:
     x1 = points[0]
     for a in elems:
         img = a.img
+        bottom = len(img)  # ⊥ of a partial map
         if any(img[p] != x1 for p in points):
             raise AssertionError(f"element {a!r} does not send the base points to {x1}")
-        if any(v not in pts for v in img if v != a.degree):
+        if any(v not in pts for v in img if v != bottom):
             raise AssertionError(f"element {a!r} has image outside the base points")
 
 

@@ -264,7 +264,9 @@ def all_max_cliques_bits(adj: Sequence[int], target: int) -> list[tuple[int, ...
 
     Vertices are chosen in ascending order inside a clique, so no clique is
     produced twice; a branch survives only while the color bound keeps
-    ``target`` reachable.  ``target`` must be the true maximum (a larger
+    ``target`` reachable, and the branches that leave out a vertex adjacent
+    to every remaining candidate are skipped, since every maximum clique
+    there contains it.  ``target`` must be the true maximum (a larger
     clique would make the outputs non-maximal, a smaller one is rejected by
     the pruning).
     """
@@ -293,6 +295,10 @@ def _cliques_of_size(P_bits: int, adj: Sequence[int], target: int, R: list, out:
         R.append(v)
         _cliques_of_size(P_bits & adj[v], adj, target, R, out)
         R.pop()
+        if P_bits & adj[v] == P_bits:
+            # v is adjacent to every remaining candidate, so a clique that
+            # avoids v could take v as well: it is not of the maximum size
+            break
 
 
 def max_clique(g: CommGraph) -> CliqueResult:

@@ -61,7 +61,7 @@ from .semigroups import (
     is_null,
     unique_idempotent,
 )
-from .transform import Transformation, is_idempotent, omega_power, product
+from .transform import Transformation, _raw, is_idempotent, omega_power, product
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -349,7 +349,7 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
         tries = 0
         while len(gens) < want and tries < 25:
             tries += 1
-            cand = Transformation(tuple(rng.randrange(n) for _ in range(n)))
+            cand = _raw(Transformation, bytes([rng.randrange(n) for _ in range(n)]))
             if all(product(cand, g) == product(g, cand) for g in gens):
                 gens.append(cand)
         if not gens:
@@ -358,9 +358,8 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
             S = closure(gens, limit=400)
         except ClosureLimitExceeded:
             continue
-        if not has_unique_idempotent(S):
-            continue
-        if unique_idempotent(S) == ident:
+        es = idempotents(S)
+        if len(es) != 1 or es[0] == ident:
             continue
         if not S.is_commutative():  # cannot happen: commuting generators
             raise RuntimeError("closure of commuting generators is not commutative")

@@ -10,6 +10,7 @@ and restriction — lives in module-level functions.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 from .transform import (
@@ -35,8 +36,31 @@ class ClosureLimitExceeded(RuntimeError):
     """Raised when a closure grows past the caller-supplied size limit."""
 
 
+_IMG = operator.attrgetter("img")
+
+
+def _kind_of(types: set[type]) -> str:
+    """The kind shared by elements of these types; TypeError if there is none."""
+    kinds = set()
+    for cls in sorted(types, key=lambda c: c.__name__):
+        if issubclass(cls, Transformation):
+            kinds.add(FULL)
+        elif issubclass(cls, PartialTransformation):
+            kinds.add(PARTIAL)
+        else:
+            raise TypeError(f"unsupported element type {cls.__name__}")
+    if len(kinds) != 1:
+        raise TypeError("elements must all be of the same kind")
+    return kinds.pop()
+
+
 class SemigroupSet:
-    """Duplicate-free, canonically sorted set of transformations of one kind."""
+    """Duplicate-free, canonically sorted set of transformations of one kind.
+
+    The canonical order is the order of the image bytes ``a.img``, with ⊥
+    (stored as the degree) after every point; sorting on that key keeps
+    every comparison in C.
+    """
 
     __slots__ = ("degree", "kind", "elements", "_set", "_closed", "_commutative")
 
@@ -47,27 +71,19 @@ class SemigroupSet:
         closed: bool | None = None,
         commutative: bool | None = None,
     ):
-        elems = tuple(sorted(set(elements)))
-        if not elems:
+        members = frozenset(elements)
+        if not members:
             raise ValueError("a SemigroupSet needs at least one element")
-        first = elems[0]
-        if isinstance(first, Transformation):
-            kind = FULL
-            ok = all(isinstance(a, Transformation) for a in elems)
-        elif isinstance(first, PartialTransformation):
-            kind = PARTIAL
-            ok = all(isinstance(a, PartialTransformation) for a in elems)
-        else:
-            raise TypeError(f"unsupported element type {type(first).__name__}")
-        if not ok:
-            raise TypeError("elements must all be of the same kind")
-        degree = first.degree
-        if any(a.degree != degree for a in elems):
+        kind = _kind_of(set(map(type, members)))
+        degrees = set(map(len, map(_IMG, members)))
+        if len(degrees) != 1:
             raise ValueError("elements must all share one degree")
+        (degree,) = degrees
+        elems = tuple(sorted(members, key=_IMG))
         self.degree = degree
         self.kind = kind
         self.elements = elems
-        self._set = frozenset(elems)
+        self._set = members
         self._closed = closed
         self._commutative = commutative
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 
 from .semigroups import FULL, PARTIAL, SemigroupSet
-from .transform import PartialTransformation, Transformation
+from .transform import PartialTransformation, Transformation, _checked_degree, _raw
 
 
 def to_jsonable(S: SemigroupSet) -> dict:
@@ -52,29 +52,51 @@ def load_semigroup(obj) -> SemigroupSet:
     n = obj["degree"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n!r}")
+    _checked_degree(n)  # a point and the sentinel must fit in a byte
     kind = obj["kind"]
     if kind not in (FULL, PARTIAL):
         raise ValueError(f"kind must be 'full' or 'partial', got {kind!r}")
     rows = obj["elements"]
     if not isinstance(rows, list) or not rows:
         raise ValueError("elements must be a non-empty list")
+    cls = Transformation if kind == FULL else PartialTransformation
     elems = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"element {i} must be a list of {n} images")
-        for v in row:
-            if v is None:
-                if kind == FULL:
-                    raise ValueError(f"element {i}: null image in a full map")
-            elif not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValueError(f"element {i}: image {v!r} out of range 0..{n - 1}")
-        if kind == FULL:
-            elems.append(Transformation(row))
-        else:
-            elems.append(PartialTransformation(row))
-    if len(set(elems)) != len(elems):
+        img = _row_image(row, n, kind == PARTIAL)
+        if img is None:
+            for v in row:
+                if v is None:
+                    if kind == FULL:
+                        raise ValueError(f"element {i}: null image in a full map")
+                elif not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    raise ValueError(f"element {i}: image {v!r} out of range 0..{n - 1}")
+            img = cls(row).img  # the row is good but holds an int subclass
+        elems.append(_raw(cls, img))
+    S = SemigroupSet(elems)
+    if len(S) != len(rows):
         raise ValueError("elements contain duplicates")
-    return SemigroupSet(elems)
+    return S
+
+
+def _row_image(row: list, n: int, partial: bool) -> bytes | None:
+    """The images of one on-disk row (null as the sentinel n), or None.
+
+    None means some value is not an ``int`` in ``[0, n)`` (or null, in a
+    partial row); the caller then finds it value by value.  The checks here
+    make no Python call per value, since a file can hold ξ(n) rows.
+    """
+    if partial and None in row:
+        if n in row:  # the in-memory sentinel spelled on disk
+            return None
+        row = [n if v is None else v for v in row]
+        top = n
+    else:
+        top = n - 1
+    if set(map(type, row)) == {int} and min(row) >= 0 and max(row) <= top:
+        return bytes(row)
+    return None
 
 
 def load_semigroup_file(path: str) -> SemigroupSet:

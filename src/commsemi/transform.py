@@ -38,7 +38,13 @@ def _is_point(v: object, n: int) -> bool:
 
 
 def _raw(cls: type, img: bytes):
-    """An element of kind ``cls`` with images ``img``, trusted unchecked."""
+    """An element of kind ``cls`` with images ``img``, trusted unchecked.
+
+    Use it only where every image is already known to be a point in
+    ``[0, n)`` or, for a partial map, the sentinel ⊥ = n, with n = len(img)
+    between 1 and 255.  Nothing here checks it, and a bad image gives wrong
+    products rather than an error.
+    """
     out = object.__new__(cls)
     out.img = img
     return out

@@ -9,6 +9,8 @@ import pytest
 from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
+    _bits_to_list,
+    _color_sort,
     _degeneracy_order,
     all_max_cliques_bits,
     build,
@@ -77,6 +79,31 @@ def strip_order(adj, n):
         order.append(v)
         alive ^= 1 << v
     return order
+
+
+def unpruned_max_cliques(adj, target):
+    """all_max_cliques_bits without its universal-vertex skip: the reference."""
+    out = []
+
+    def rec(P_bits, R):
+        if len(R) == target:
+            out.append(tuple(R))
+            return
+        need = target - len(R)
+        if P_bits.bit_count() < need:
+            return
+        P_list = _bits_to_list(P_bits)
+        _, bounds = _color_sort(P_list, adj)
+        if bounds and bounds[-1] < need:
+            return
+        for v in P_list:
+            P_bits ^= 1 << v
+            rec(P_bits & adj[v], R + [v])
+
+    if target == 0:
+        return [()] if not adj else []
+    rec((1 << len(adj)) - 1, [])
+    return out
 
 
 def naive_max_cliques(adj):
@@ -293,6 +320,35 @@ class TestCliqueSearch:
             assert tuple(sorted(witness)) in cliques
             assert nodes >= 1
             assert set(all_max_cliques_bits(adj, best)) == cliques
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda: commuting_rows(enumerate_full(4).elements),
+            lambda: commuting_rows(enumerate_partial(3).elements),
+            lambda: commuting_rows(enumerate_partial(4).elements),
+            lambda: commuting_rows(enumerate_full(5).elements),
+        ],
+        ids=["T4", "P3", "P4", "T5"],
+    )
+    def test_universal_vertex_skip_keeps_output_and_order(self, rows):
+        # whole semigroups: the center (the identity, the empty map) is universal
+        adj = rows()
+        size = max_clique_bits(adj)[0]
+        assert all_max_cliques_bits(adj, size) == unpruned_max_cliques(adj, size)
+
+    def test_universal_vertex_skip_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            for u in rng.sample(range(n), rng.randint(0, min(3, n))):
+                adj[u] = ((1 << n) - 1) ^ (1 << u)
+                for w in range(n):
+                    if w != u:
+                        adj[w] |= 1 << u
+            size = max_clique_bits(adj)[0]
+            assert all_max_cliques_bits(adj, size) == unpruned_max_cliques(adj, size)
 
     def test_edgeless_graph(self):
         adj = [0, 0, 0]

@@ -66,6 +66,28 @@ class TestSemigroupSet:
         with pytest.raises(ValueError):
             SemigroupSet([])
 
+    def test_order_is_the_element_order(self):
+        # the keyed sort on image bytes against sorting by the elements' own __lt__
+        rng = random.Random(8)
+        pools = [list(enumerate_full(3)), list(enumerate_partial(3))]
+        for n in (2, 4, 6):
+            for cls, values in (
+                (Transformation, list(range(n))),
+                (PartialTransformation, [*range(n), None]),
+            ):
+                draws = [cls(rng.choice(values) for _ in range(n)) for _ in range(30)]
+                pools.append(draws + rng.choices(draws, k=15))
+        for xs in pools:
+            rng.shuffle(xs)
+            assert SemigroupSet(xs).elements == tuple(sorted(set(xs)))
+
+    def test_rejects_non_maps(self):
+        with pytest.raises(TypeError, match="unsupported element type int"):
+            SemigroupSet([1, 2])
+        for mixed in ([Transformation([0, 1]), 1], [1, PartialTransformation([0, None])]):
+            with pytest.raises(TypeError, match="unsupported element type int"):
+                SemigroupSet(mixed)
+
     def test_flags_cached(self):
         S = example_semigroup()
         assert S.is_closed()

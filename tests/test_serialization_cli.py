@@ -115,6 +115,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicates"):
             load_semigroup({**good, "elements": [[0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"degree": 256, "kind": "full", "elements": [list(range(256))]},
+                "degree must be between 1 and 255, got 256",
+            ),
+            (
+                {"degree": 2, "kind": "full", "elements": [[0, 0], [0, 1.0]]},
+                "element 1: image 1.0 out of range 0..1",
+            ),
+            (
+                {"degree": 2, "kind": "full", "elements": [[-1, 0]]},
+                "element 0: image -1 out of range 0..1",
+            ),
+            (
+                {"degree": 2, "kind": "partial", "elements": [[None, True]]},
+                "element 0: image True out of range 0..1",
+            ),
+            (
+                {"degree": 2, "kind": "partial", "elements": [[0, 1], [None, 2]]},
+                "element 1: image 2 out of range 0..1",
+            ),
+        ],
+        ids=["degree-256", "float", "negative", "bool-in-partial", "sentinel-in-partial"],
+    )
+    def test_checks_before_trusted_construction(self, obj, message):
+        # rows are built unchecked after these checks, so each must hold here
+        with pytest.raises(ValueError) as err:
+            load_semigroup(obj)
+        assert str(err.value) == message
+
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

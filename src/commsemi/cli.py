@@ -36,6 +36,10 @@ from .serialization import (
 
 _PRINT_LIMIT = 64
 
+# Each closure, commute or center check costs |S|² products (about 9 s of CPU
+# at 4,096 maps), so the file commands refuse a larger set instead of hanging.
+_MAX_FILE_ELEMENTS = 4096
+
 
 def _fmt_map(a) -> str:
     n = a.degree
@@ -67,6 +71,13 @@ def _parse_points(text: str) -> list[int]:
             raise ValueError(f"points are 1-based; got {v}")
         vals.append(v - 1)
     return vals
+
+
+def _load(path: str) -> SemigroupSet:
+    S = load_semigroup_file(path)
+    if len(S) > _MAX_FILE_ELEMENTS:
+        raise ValueError(f"{path} has {len(S)} elements, over the cap of {_MAX_FILE_ELEMENTS}")
+    return S
 
 
 def _fmt_points(points) -> str:
@@ -123,7 +134,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    S = load_semigroup_file(args.file)
+    S = _load(args.file)
     print(f"degree: {S.degree}")
     print(f"kind: {S.kind}")
     print(f"size: {len(S)}")
@@ -151,7 +162,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spartition(args) -> int:
-    S = load_semigroup_file(args.file)
+    S = _load(args.file)
     part = trees.s_partition(S)
     for j, block in enumerate(part.blocks):
         print(f"A_{j}: {_fmt_points(block)}")
@@ -159,7 +170,7 @@ def _cmd_spartition(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    S = load_semigroup_file(args.file)
+    S = _load(args.file)
     part = trees.s_partition(S)
     sigma = trees.element_order(part)
     t = trees.build_tree(S, sigma)
@@ -178,8 +189,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_nullify(args) -> int:
-    S = load_semigroup_file(args.file)
-    m = load_semigroup_file(args.m_override) if args.m_override else None
+    S = _load(args.file)
+    m = _load(args.m_override) if args.m_override else None
     trace = trees.nullify_trace(S, m_override=m)
     print(f"input size: {len(S)}")
     print(f"point order: {' '.join(str(x + 1) for x in trace.sigma)}")
@@ -198,7 +209,7 @@ def _cmd_nullify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    S = load_semigroup_file(args.file)
+    S = _load(args.file)
     g = graphs.build(S)
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")

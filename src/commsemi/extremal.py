@@ -4,18 +4,23 @@
 attaining it; ξ(n) is the size of the biggest null subsemigroup of the full
 transformation semigroup on n points.  Every builder returns a closed
 :class:`~commsemi.semigroups.SemigroupSet` whose defining constraints have
-been re-checked element by element (the per-element shape checks below
-imply closure and nullness/commutativity without looping over pairs, which
-keeps construction linear in the output size).
+been re-checked element by element.
+
+Null sets have one certificate, :func:`_check_null_shape`: maps that send
+the base points to x₁ and have images inside the base points form a null
+semigroup N(x₁; rest), with no loop over pairs, which keeps construction
+linear in the output size.  Ω(B) in P_n is the same shape N(⊥; B), with ⊥
+as a point.  The null builders, the surgery's output and its
+``m_override`` all pass through it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .semigroups import SemigroupSet, closure
-from .transform import PartialTransformation, Transformation, _raw
+from .transform import AnyTransformation, PartialTransformation, Transformation, _raw
 
 
 class XiAlpha(NamedTuple):
@@ -46,10 +51,6 @@ def _full(img: Sequence[int]) -> Transformation:
     return _raw(Transformation, bytes(img))
 
 
-def _partial(img: Sequence[int]) -> PartialTransformation:
-    return _raw(PartialTransformation, bytes(img))
-
-
 def gamma(n: int, x: int) -> SemigroupSet:
     """Γ: the 2^(n−1) maps fixing x whose other points go to themselves or x.
 
@@ -74,23 +75,44 @@ def gamma(n: int, x: int) -> SemigroupSet:
     return S
 
 
-def _check_null_shape(elems: Sequence, points: Sequence[int]) -> None:
-    """Per-element certificate that a set is null with zero constant-to-points[0].
+def _check_null_shape(elems: Iterable, points: Sequence[int]) -> AnyTransformation | None:
+    """The first element outside the null shape on ``points``, or None.
 
-    If every element sends all of ``points`` to points[0] and has image
-    inside ``points``, then any product αβ first lands in ``points`` and is
-    then sent to points[0]: every pairwise product is the constant map to
-    points[0].  No pair enumeration is needed.
+    In the shape, every element sends each of ``points`` to x₁ = points[0]
+    and has its image inside ``points``.  Then any product αβ first lands in
+    ``points`` and is then sent to x₁: every pairwise product is the
+    constant map to x₁, so a set of such maps is closed, commutative and
+    null without looping over pairs.  ⊥ = n counts as a point that every
+    map fixes, so Ω(B) is the shape on (⊥, *B).
     """
-    pts = set(points)
     x1 = points[0]
+    pts = frozenset(points)
     for a in elems:
-        img = a.img
-        bottom = len(img)  # ⊥ of a partial map
-        if any(img[p] != x1 for p in points):
-            raise AssertionError(f"element {a!r} does not send the base points to {x1}")
-        if any(v not in pts for v in img if v != bottom):
-            raise AssertionError(f"element {a!r} has image outside the base points")
+        img = a.img + bytes([len(a.img)])
+        if any(img[p] != x1 for p in points) or not pts.issuperset(a.img):
+            return a
+    return None
+
+
+def _null_maps(cls: type, n: int, points: Sequence[int]) -> list:
+    """Every degree-n map of type ``cls`` in the null shape on ``points`` (⊥ only first)."""
+    pts = list(points)
+    t = len(pts)
+    if len(set(pts)) != t or t == 0:
+        raise ValueError("points must be a nonempty list of distinct values")
+    if any(not 0 <= p < n + (cls is PartialTransformation) for p in pts):
+        raise ValueError(f"points {pts} out of range for degree {n}")
+    free = [y for y in range(n) if y not in pts]
+    img = [pts[0]] * n
+    elems = []
+    for choice in itertools.product(pts, repeat=len(free)):
+        for y, v in zip(free, choice):
+            img[y] = v
+        elems.append(_raw(cls, bytes(img)))
+    bad = _check_null_shape(elems, pts)
+    if bad is not None:
+        raise AssertionError(f"null builder produced {bad!r}, outside the null shape on {pts}")
+    return elems
 
 
 def null_semigroup(n: int, points: Sequence[int]) -> SemigroupSet:
@@ -99,24 +121,20 @@ def null_semigroup(n: int, points: Sequence[int]) -> SemigroupSet:
     Size is t^(n−t) for t = len(points); only t = α(n) gives the maximum
     (see :func:`null_max`, which enforces that).
     """
-    pts = list(points)
-    t = len(pts)
-    if len(set(pts)) != t or t == 0:
-        raise ValueError("points must be a nonempty list of distinct values")
-    if any(not 0 <= p < n for p in pts):
-        raise ValueError(f"points {pts} out of range for degree {n}")
-    free = [y for y in range(n) if y not in set(pts)]
-    x1 = pts[0]
-    elems = []
-    for choice in itertools.product(pts, repeat=len(free)):
-        img = [0] * n
-        for p in pts:
-            img[p] = x1
-        for y, v in zip(free, choice):
-            img[y] = v
-        elems.append(_full(img))
-    _check_null_shape(elems, pts)
-    return SemigroupSet(elems, closed=True, commutative=True)
+    return SemigroupSet(_null_maps(Transformation, n, points), closed=True, commutative=True)
+
+
+def _null_max_maps(n: int, points: Sequence[int] | None) -> list[Transformation]:
+    """The ξ(n) certified maps of ``null_max(n, points)``."""
+    _, alpha, xi = xi_alpha(n)
+    pts = list(range(alpha)) if points is None else list(points)
+    if len(pts) != alpha or len(set(pts)) != len(pts):
+        raise ValueError(
+            f"null_max at degree {n} needs exactly α({n})={alpha} distinct points, got {pts}"
+        )
+    elems = _null_maps(Transformation, n, pts)
+    assert len(elems) == xi
+    return elems
 
 
 def null_max(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
@@ -125,25 +143,15 @@ def null_max(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
     Defaults to points 0..α(n)−1.  Size ξ(n); the zero is the constant map
     to points[0], which has rank 1.
     """
-    _, alpha, xi = xi_alpha(n)
-    if points is None:
-        points = list(range(alpha))
-    pts = list(points)
-    if len(pts) != alpha or len(set(pts)) != len(pts):
-        raise ValueError(
-            f"null_max at degree {n} needs exactly α({n})={alpha} distinct points, got {pts}"
-        )
-    S = null_semigroup(n, pts)
-    assert len(S) == xi
-    return S
+    return SemigroupSet(_null_max_maps(n, points), closed=True, commutative=True)
 
 
 def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
     """Ω: partial maps with domain avoiding B and image inside B.
 
-    Null with zero ∅ (a product's first factor lands in B, where the second
-    factor is undefined); size ξ(n+1) when |B| = α(n+1) − 1, which is the
-    required shape.
+    This is N(⊥; B) on X ∪ {⊥}: null with zero ∅ (a product's first factor
+    lands in B, where the second factor is undefined); size ξ(n+1) when
+    |B| = α(n+1) − 1, which is the required shape.
     """
     bs = sorted(set(B))
     if len(bs) != len(list(B)):
@@ -155,20 +163,8 @@ def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
         raise ValueError(
             f"omega_pn at degree {n} needs |B| = α({n + 1})−1 = {alpha - 1}, got {len(bs)}"
         )
-    bset = set(bs)
-    free = [y for y in range(n) if y not in bset]
-    elems = []
-    for choice in itertools.product([n, *bs], repeat=len(free)):
-        img = [n] * n
-        for y, v in zip(free, choice):
-            img[y] = v
-        elems.append(_partial(img))
+    elems = _null_maps(PartialTransformation, n, [n, *bs])
     assert len(elems) == xi
-    for a in elems:
-        if any(a.img[b] != n for b in bs):
-            raise AssertionError(f"element {a!r} is defined on B")
-        if any(v not in bset for v in a.img if v != n):
-            raise AssertionError(f"element {a!r} has image outside B")
     return SemigroupSet(elems, closed=True, commutative=True)
 
 
@@ -177,7 +173,7 @@ def e_ix(n: int) -> SemigroupSet:
     elems = []
     for bits in range(1 << n):
         img = tuple(x if bits >> x & 1 else n for x in range(n))
-        elems.append(_partial(img))
+        elems.append(_raw(PartialTransformation, bytes(img)))
     return SemigroupSet(elems, closed=True, commutative=True)
 
 
@@ -228,10 +224,9 @@ def abelian_witness(n: int) -> SemigroupSet:
 
 def null_plus_identity(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
     """null_max plus the identity: commutative of size ξ(n)+1, two idempotents."""
-    N = null_max(n, points)
-    elems = list(N.elements) + [Transformation.identity(n)]
-    S = SemigroupSet(elems, closed=True, commutative=True)
-    if len(S) != len(N) + 1:
+    elems = _null_max_maps(n, points)
+    S = SemigroupSet([*elems, Transformation.identity(n)], closed=True, commutative=True)
+    if len(S) != len(elems) + 1:
         raise AssertionError("identity collided with the null part")
     return S
 

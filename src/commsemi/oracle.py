@@ -24,7 +24,6 @@ no violation ever occurred.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Callable, NamedTuple
@@ -152,35 +151,34 @@ def _enumerate(claim: str, n: int, kind: str) -> SemigroupSet:
 
 
 def _tag_commutative(T: SemigroupSet) -> str:
+    """GAMMA:x for Γ(n, x), whose elements fix x and no other common point;
+    EIX for E(I_X); else the group type or OTHER.  One comparison at most."""
     n = T.degree
     if T.kind == "full":
-        for x in range(n):
-            if T == gamma(n, x):
-                return f"GAMMA:{x}"
-    else:
-        if T == e_ix(n):
-            return "EIX"
+        fixed = [x for x in range(n) if all(a.img[x] == x for a in T)]
+        if len(fixed) == 1 and T == gamma(n, fixed[0]):
+            return f"GAMMA:{fixed[0]}"
+    elif T == e_ix(n):
+        return "EIX"
     if is_group(T):
         return "GROUP:" + classify_small_abelian_group(T)
     return "OTHER"
 
 
 def _tag_null(T: SemigroupSet) -> str:
+    """ID for {id}, NULL:N(x1;rest) for null_max(n, [x1, *rest]), NULL:OMEGA(B) for Ω(B),
+    else NULL:?.  x1 is the value of T[0]² (⊥ for Ω) and ``rest`` the other points
+    that every element sends to x1, so T is compared with one set at most."""
     n = T.degree
+    if T.kind == "full" and len(T) == 1 and T.elements[0] == Transformation.identity(n):
+        return "ID"
+    x1 = product(T[0], T[0]).img[0]
+    rest = [p for p in range(n) if p != x1 and all(a.img[p] == x1 for a in T)]
     if T.kind == "full":
-        if len(T) == 1 and T.elements[0] == Transformation.identity(n):
-            return "ID"
-        t = xi_alpha(n).alpha
-        for x1 in range(n):
-            rest_pool = [y for y in range(n) if y != x1]
-            for rest in itertools.combinations(rest_pool, t - 1):
-                if T == null_max(n, [x1, *rest]):
-                    return f"NULL:N({x1};{','.join(map(str, rest))})"
-    else:
-        t = xi_alpha(n + 1).alpha
-        for B in itertools.combinations(range(n), t - 1):
-            if T == omega_pn(n, B):
-                return f"NULL:OMEGA({','.join(map(str, B))})"
+        if len(rest) == xi_alpha(n).alpha - 1 and T == null_max(n, [x1, *rest]):
+            return f"NULL:N({x1};{','.join(map(str, rest))})"
+    elif x1 == n and len(rest) == xi_alpha(n + 1).alpha - 1 and T == omega_pn(n, rest):
+        return f"NULL:OMEGA({','.join(map(str, rest))})"
     return "NULL:?"
 
 
@@ -364,7 +362,7 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
         if not S.is_commutative():  # cannot happen: commuting generators
             raise RuntimeError("closure of commuting generators is not commutative")
         if best is None or len(S) > len(best):
-            best = SemigroupSet(S.elements, closed=True, commutative=True)
+            best = S
     if best is None:
         raise RuntimeError(
             f"could not generate a unique-idempotent semigroup of degree {n} "

@@ -26,7 +26,7 @@ from .transform import (
 FULL = "full"
 PARTIAL = "partial"
 
-# Enumeration guards; an explicit force=True overrides (T_8 has 16.7M elements).
+# Enumeration guards on the input degree (T_8 has 16.7M elements).
 MAX_FULL_DEGREE = 7
 MAX_PARTIAL_DEGREE = 5
 MAX_SYM_DEGREE = 8
@@ -277,26 +277,22 @@ def classify_small_abelian_group(S: SemigroupSet) -> str:
     return "OTHER"
 
 
-def enumerate_full(n: int, force: bool = False) -> SemigroupSet:
+def enumerate_full(n: int) -> SemigroupSet:
     """All n^n total maps of degree n (the full transformation semigroup)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n > MAX_FULL_DEGREE and not force:
-        raise ValueError(
-            f"degree {n} exceeds the full-enumeration cap {MAX_FULL_DEGREE}; pass force=True"
-        )
+    if n > MAX_FULL_DEGREE:
+        raise ValueError(f"degree {n} exceeds the full-enumeration cap {MAX_FULL_DEGREE}")
     elems = [_raw(Transformation, bytes(img)) for img in itertools.product(range(n), repeat=n)]
     return SemigroupSet(elems, closed=True, commutative=(n <= 1))
 
 
-def enumerate_partial(n: int, force: bool = False) -> SemigroupSet:
+def enumerate_partial(n: int) -> SemigroupSet:
     """All (n+1)^n partial maps of degree n."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n > MAX_PARTIAL_DEGREE and not force:
-        raise ValueError(
-            f"degree {n} exceeds the partial-enumeration cap {MAX_PARTIAL_DEGREE}; pass force=True"
-        )
+    if n > MAX_PARTIAL_DEGREE:
+        raise ValueError(f"degree {n} exceeds the partial-enumeration cap {MAX_PARTIAL_DEGREE}")
     elems = [
         _raw(PartialTransformation, bytes(img))
         for img in itertools.product(range(n + 1), repeat=n)
@@ -304,14 +300,12 @@ def enumerate_partial(n: int, force: bool = False) -> SemigroupSet:
     return SemigroupSet(elems, closed=True, commutative=(n <= 1))
 
 
-def enumerate_sym(n: int, force: bool = False) -> SemigroupSet:
+def enumerate_sym(n: int) -> SemigroupSet:
     """The symmetric group on n points, as a closed SemigroupSet of full maps."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if n > MAX_SYM_DEGREE and not force:
-        raise ValueError(
-            f"degree {n} exceeds the permutation-enumeration cap {MAX_SYM_DEGREE}; pass force=True"
-        )
+    if n > MAX_SYM_DEGREE:
+        raise ValueError(f"degree {n} exceeds the permutation-enumeration cap {MAX_SYM_DEGREE}")
     elems = [_raw(Transformation, bytes(img)) for img in itertools.permutations(range(n))]
     return SemigroupSet(elems, closed=True, commutative=(n <= 2))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .extremal import null_max, xi_alpha
+from .extremal import _check_null_shape, null_max, xi_alpha
 from .semigroups import (
     SemigroupSet,
     is_group,
@@ -262,11 +262,11 @@ def _validate_m(M: SemigroupSet, r: int, t: int, needed: int) -> None:
         raise ValueError(f"m_override must have exactly {needed} elements, got {len(M)}")
     if Transformation.constant(r + 1, 0) not in M:
         raise ValueError("m_override must contain the constant map to 0 (the zero)")
-    for a in M:
-        if any(a.img[p] != 0 for p in range(t)) or any(v >= t for v in a.img):
-            raise ValueError(
-                f"m_override element {a!r} is not in the null shape on the first {t} points"
-            )
+    bad = _check_null_shape(M, range(t))
+    if bad is not None:
+        raise ValueError(
+            f"m_override element {bad!r} is not in the null shape on the first {t} points"
+        )
 
 
 def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> NullifyTrace:
@@ -307,9 +307,8 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
             )
         M = SemigroupSet(pool.elements[: len(prefixes)], commutative=True)
 
-    m_words = sorted(tuple(a.img[i] for i in range(r + 1)) for a in M)
-    assert all(w[:t] == (0,) * t for w in m_words), "null maps must share a length-t trunk"
-    tails = sorted(w[1:] for w in m_words)
+    # M is certified null on range(t), so every word starts with the zero letter
+    tails = sorted(tuple(a.img[1:]) for a in M)
 
     t1_leaves = []
     for head, pre in zip(tails, prefixes):
@@ -345,15 +344,16 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
         )
 
     final_words = sorted(_relabel(tree_2.leaves))
-    # Letters are now positions < trunk at every used label, so every image
-    # point lands inside the trunk block, which every map sends to sigma[0]:
-    # the output is null by shape, with zero = constant to sigma[0].
     elems = []
     for w in final_words:
         img = [0] * n
         for i, letter in enumerate(w):
             img[sigma[i]] = sigma[letter]
         elems.append(Transformation(img))
+    # The flags below rest on this: the trunk block goes to sigma[0] and holds every image.
+    bad = _check_null_shape(elems, sigma[:trunk])
+    if bad is not None:
+        raise RuntimeError(f"surgery output {bad!r} is not in the null shape on {sigma[:trunk]}")
     result = SemigroupSet(elems, closed=True, commutative=True)
     if len(result) != len(S):
         raise RuntimeError("surgery did not preserve the element count")

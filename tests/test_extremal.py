@@ -5,6 +5,7 @@ import random
 import pytest
 
 from commsemi.extremal import (
+    _check_null_shape,
     abelian_witness,
     burns_goldsmith_order,
     e_ix,
@@ -18,7 +19,7 @@ from commsemi.extremal import (
     xi_table,
 )
 from commsemi.semigroups import idempotents, is_group, is_null, unique_idempotent
-from commsemi.transform import PartialTransformation, Transformation
+from commsemi.transform import PartialTransformation, Transformation, _raw, product
 
 # (n, alpha, xi) for n = 1..20, frozen.
 XI_TABLE_20 = [
@@ -188,6 +189,66 @@ class TestOmega:
         # alpha(5) - 1 = 2, so a singleton B is the wrong size at degree 4
         with pytest.raises(ValueError):
             omega_pn(4, [0])
+
+
+class TestNullShapeCertificate:
+    def test_full_failures(self):
+        good = Transformation([0, 0, 1])
+        not_to_x1 = Transformation([0, 1, 0])  # base point 1 is not sent to 0
+        outside = Transformation([0, 0, 2])  # image point 2 is not a base point
+        assert _check_null_shape([good], [0, 1]) is None
+        assert _check_null_shape([good, not_to_x1], [0, 1]) == not_to_x1
+        assert _check_null_shape([good, outside, not_to_x1], [0, 1]) == outside
+
+    def test_partial_failures(self):
+        # Ω({0}) on 3 points is the shape on (⊥, 0) with ⊥ = 3
+        good = PartialTransformation([None, 0, None])
+        defined_on_b = PartialTransformation([0, 0, None])
+        outside = PartialTransformation([None, 1, None])
+        assert _check_null_shape([good], [3, 0]) is None
+        assert _check_null_shape([good, defined_on_b], [3, 0]) == defined_on_b
+        assert _check_null_shape([good, outside], [3, 0]) == outside
+        # ⊥ is a point every map fixes, so it cannot be a base point sent to x1
+        assert _check_null_shape([PartialTransformation([0, 0, 0])], [0, 3]) is not None
+
+    def test_builders_pass(self):
+        assert _check_null_shape(null_max(6, [4, 1, 2]), [4, 1, 2]) is None
+        assert _check_null_shape(omega_pn(5, [1, 3]), [5, 1, 3]) is None
+
+    def test_certified_sets_are_null(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def near_shape(draw):
+            """A kind, a degree n, points (⊥ = n is a point of partial maps) and
+            maps that are mostly in the shape, so that both outcomes are common."""
+            cls = draw(st.sampled_from([Transformation, PartialTransformation]))
+            n = draw(st.integers(1, 5))
+            slots = n + (cls is PartialTransformation)
+            points = draw(
+                st.lists(st.integers(0, slots - 1), min_size=1, max_size=slots, unique=True)
+            )
+            anything = st.integers(0, slots - 1)
+            cells = [
+                (st.just(points[0]) if y in points else st.sampled_from(points)) | anything
+                for y in range(n)
+            ]
+            imgs = draw(st.lists(st.tuples(*cells), min_size=1, max_size=5))
+            return cls, n, points, [_raw(cls, bytes(img)) for img in imgs]
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(near_shape())
+        def prop(case):
+            cls, n, points, elems = case
+            bad = _check_null_shape(elems, points)
+            if bad is None:
+                zero = _raw(cls, bytes([points[0]]) * n)
+                assert all(product(a, b) == zero for a in elems for b in elems)
+            else:
+                assert bad in elems
+
+        prop()
 
 
 class TestEIX:

@@ -1,13 +1,16 @@
 """Exhaustive-search cross-checks of the frozen extremal values."""
 
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
 
-from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn
+from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
 from commsemi.oracle import (
     ABELIAN_ORDERS,
+    _tag_commutative,
+    _tag_null,
     closure_check_stats,
     expected_value,
     max_abelian_subgroup,
@@ -18,9 +21,16 @@ from commsemi.oracle import (
     random_commutative_unique_idem,
     reset_closure_stats,
 )
-from commsemi.semigroups import has_unique_idempotent, is_group, unique_idempotent
+from commsemi.semigroups import (
+    SemigroupSet,
+    classify_small_abelian_group,
+    has_unique_idempotent,
+    is_group,
+    is_null,
+    unique_idempotent,
+)
 from commsemi.serialization import semigroup_digest
-from commsemi.transform import Transformation
+from commsemi.transform import PartialTransformation, Transformation, product
 
 
 def holds(result, S):
@@ -264,6 +274,85 @@ def test_pinned_maximizers(search, n, kind, size, tags, digest):
     assert " ".join(r.tags) == tags
     joined = "\n".join(semigroup_digest(T) for T in r.maximizers)
     assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+
+
+def brute_tag_commutative(T):
+    """The commutative tag computed by trying every Γ(n, x)."""
+    n = T.degree
+    if T.kind == "full":
+        for x in range(n):
+            if T == gamma(n, x):
+                return f"GAMMA:{x}"
+    elif T == e_ix(n):
+        return "EIX"
+    if is_group(T):
+        return "GROUP:" + classify_small_abelian_group(T)
+    return "OTHER"
+
+
+def brute_tag_null(T):
+    """The null tag computed by building every candidate N(x1; rest) or Ω(B)."""
+    n = T.degree
+    if T.kind == "full":
+        if len(T) == 1 and T.elements[0] == Transformation.identity(n):
+            return "ID"
+        t = xi_alpha(n).alpha
+        for x1 in range(n):
+            for rest in itertools.combinations([y for y in range(n) if y != x1], t - 1):
+                if T == null_max(n, [x1, *rest]):
+                    return f"NULL:N({x1};{','.join(map(str, rest))})"
+    else:
+        t = xi_alpha(n + 1).alpha
+        for B in itertools.combinations(range(n), t - 1):
+            if T == omega_pn(n, B):
+                return f"NULL:OMEGA({','.join(map(str, B))})"
+    return "NULL:?"
+
+
+# (search, kind, top degree, maximizers tagged over degrees 1..top)
+TAGGED_SEARCHES = [
+    (max_null, "full", 5, 52),
+    (max_null, "partial", 4, 13),
+    (max_unique_idempotent, "full", 5, 43),
+    (max_unique_idempotent, "partial", 4, 13),
+    (max_commutative, "full", 5, 16),
+    (max_commutative, "partial", 4, 4),
+    (max_commutative_idempotent, "full", 6, 21),
+    (max_commutative_idempotent, "partial", 5, 5),
+]
+
+
+class TestTags:
+    @pytest.mark.parametrize("search, kind, top, count", TAGGED_SEARCHES)
+    def test_match_brute_force(self, search, kind, top, count):
+        null = search in (max_null, max_unique_idempotent)
+        seen = 0
+        for n in range(1, top + 1):
+            for T in search(n, kind).maximizers:
+                if not null:
+                    assert _tag_commutative(T) == brute_tag_commutative(T)
+                elif is_null(T)[0]:
+                    assert _tag_null(T) == brute_tag_null(T)
+                else:
+                    continue
+                seen += 1
+        assert seen == count
+
+    def test_proper_subsets_are_unnamed(self):
+        for N in (null_max(4, [2, 0]), null_max(5, [1, 4, 3]), omega_pn(4, [0, 2])):
+            zero = product(N[0], N[0])
+            for drop in N:
+                if drop == zero:
+                    continue
+                T = SemigroupSet([a for a in N if a != drop])
+                assert _tag_null(T) == brute_tag_null(T) == "NULL:?"
+
+    def test_other_null_sets(self):
+        # null, but with more base points than a named maximum has
+        T = SemigroupSet([Transformation.constant(3, 0)])
+        assert _tag_null(T) == brute_tag_null(T) == "NULL:?"
+        T = SemigroupSet([PartialTransformation([None, None, 0])])
+        assert _tag_null(T) == brute_tag_null(T) == "NULL:?"
 
 
 class TestMaxAbelianSubgroup:

@@ -4,6 +4,9 @@ import random
 import pytest
 
 from commsemi.semigroups import (
+    MAX_FULL_DEGREE,
+    MAX_PARTIAL_DEGREE,
+    MAX_SYM_DEGREE,
     ClosureLimitExceeded,
     SemigroupSet,
     center,
@@ -249,13 +252,13 @@ class TestEnumeration:
         assert not S.is_commutative()
 
     def test_caps(self):
-        with pytest.raises(ValueError):
-            enumerate_full(8)
-        with pytest.raises(ValueError):
-            enumerate_partial(6)
-        with pytest.raises(ValueError):
-            enumerate_sym(9)
-        assert len(enumerate_partial(6, force=True)) == 7**6
+        for enumerate_kind, cap in (
+            (enumerate_full, MAX_FULL_DEGREE),
+            (enumerate_partial, MAX_PARTIAL_DEGREE),
+            (enumerate_sym, MAX_SYM_DEGREE),
+        ):
+            with pytest.raises(ValueError, match=f"degree {cap + 1} exceeds the .* cap {cap}$"):
+                enumerate_kind(cap + 1)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

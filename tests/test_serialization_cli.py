@@ -1,5 +1,6 @@
 """Tests for the JSON interchange format and the command-line interface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -293,6 +294,32 @@ class TestCliAnalyze:
         path.write_text(json.dumps({"degree": 256, "kind": "full", "elements": [list(range(256))]}))
         assert cli.run(["analyze", str(path)]) == 2
         assert "degree must be between 1 and 255" in capsys.readouterr().err
+
+
+class TestCliElementCap:
+    @pytest.fixture
+    def over_cap_file(self, tmp_path):
+        # one element over the cap: the first maps of T6 in canonical order
+        rows = itertools.islice(itertools.product(range(6), repeat=6), cli._MAX_FILE_ELEMENTS + 1)
+        path = tmp_path / "over_cap.json"
+        path.write_text(json.dumps({"degree": 6, "kind": "full", "elements": [list(r) for r in rows]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["spartition"], ["tree"], ["nullify"], ["graph", "--girth"]]
+    )
+    def test_refused_before_any_predicate(self, capsys, over_cap_file, command):
+        assert cli.run([command[0], over_cap_file, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"has {cli._MAX_FILE_ELEMENTS + 1} elements" in err
+        assert f"over the cap of {cli._MAX_FILE_ELEMENTS}" in err
+
+    def test_m_override_is_capped(self, capsys, example_file, over_cap_file):
+        assert cli.run(["nullify", example_file, "--m-override", over_cap_file]) == 2
+        assert f"over the cap of {cli._MAX_FILE_ELEMENTS}" in capsys.readouterr().err
+
+    def test_cap_keeps_t5(self):
+        assert cli._MAX_FILE_ELEMENTS >= 5**5
 
 
 class TestCliTreePipeline:

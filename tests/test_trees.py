@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from commsemi import trees
 from commsemi.extremal import null_max
 from commsemi.oracle import random_commutative_unique_idem
 from commsemi.semigroups import (
@@ -276,6 +277,18 @@ class TestNullifyErrors:
                     ]
                 ),
             )
+
+    def test_output_is_certified_before_it_is_flagged(self, monkeypatch):
+        relabel = trees._relabel
+
+        def one_wrong_letter(leaves):
+            out = relabel(leaves)
+            out[-1] = (1,) + out[-1][1:]  # sigma[0] no longer goes to sigma[0]
+            return out
+
+        monkeypatch.setattr(trees, "_relabel", one_wrong_letter)
+        with pytest.raises(RuntimeError, match="not in the null shape"):
+            nullify_trace(example_semigroup())
 
 
 class TestNullifyRandom:

@@ -40,6 +40,20 @@ _PRINT_LIMIT = 64
 # at 4,096 maps), so the file commands refuse a larger set instead of hanging.
 _MAX_FILE_ELEMENTS = 4096
 
+# ``construct`` refuses a degree whose set would pass _MAX_CONSTRUCT_ELEMENTS
+# (about 1 s to build and write), and ``xi`` a table over _MAX_XI_ROWS rows
+# (about 2 s of exact t^(n−t) arithmetic).
+_MAX_CONSTRUCT_ELEMENTS = 100_000
+_MAX_XI_ROWS = 1000
+_CONSTRUCT_SIZES = {  # size at degree n, nondecreasing in n; knit is two maps
+    "gamma": lambda n: 2 ** (n - 1),
+    "eix": lambda n: 2**n,
+    "nullmax": lambda n: extremal.xi_alpha(n).xi,
+    "omega": lambda n: extremal.xi_alpha(n + 1).xi,
+    "nullid": lambda n: extremal.xi_alpha(n).xi + 1,
+    "abelian": extremal.burns_goldsmith_order,
+}
+
 
 def _fmt_map(a) -> str:
     n = a.degree
@@ -89,6 +103,8 @@ def _fmt_points(points) -> str:
 
 
 def _cmd_xi(args) -> int:
+    if args.max > _MAX_XI_ROWS:
+        raise ValueError(f"xi --max is capped at {_MAX_XI_ROWS}, got {args.max}")
     rows = extremal.xi_table(args.max)
     print(f"{'n':>3} {'alpha':>6} {'xi':>15}")
     for r in rows:
@@ -102,6 +118,15 @@ def _cmd_xi(args) -> int:
 def _cmd_construct(args) -> int:
     n = args.n
     what = args.what
+    if what in _CONSTRUCT_SIZES:
+        top = 2  # stepped up to: ξ(n) alone would hang at a huge n
+        while _CONSTRUCT_SIZES[what](top + 1) <= _MAX_CONSTRUCT_ELEMENTS:
+            top += 1
+        if n > top:
+            raise ValueError(
+                f"construct {what} is capped at n ≤ {top}, where it has at most "
+                f"{_MAX_CONSTRUCT_ELEMENTS} elements; got n={n}"
+            )
     if what == "gamma":
         S = extremal.gamma(n, args.x - 1)
     elif what == "nullmax":

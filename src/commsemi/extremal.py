@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from .semigroups import SemigroupSet, closure
+from .semigroups import SemigroupSet
 from .transform import AnyTransformation, PartialTransformation, Transformation, _raw
 
 
@@ -153,6 +153,8 @@ def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
     lands in B, where the second factor is undefined); size ξ(n+1) when
     |B| = α(n+1) − 1, which is the required shape.
     """
+    if n < 1:
+        raise ValueError(f"degree must be a positive integer, got {n}")
     bs = sorted(set(B))
     if len(bs) != len(list(B)):
         raise ValueError("B must not contain repeats")
@@ -170,18 +172,13 @@ def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
 
 def e_ix(n: int) -> SemigroupSet:
     """All 2^n partial identities id_Y; products intersect domains."""
+    if n < 1:
+        raise ValueError(f"degree must be a positive integer, got {n}")
     elems = []
     for bits in range(1 << n):
         img = tuple(x if bits >> x & 1 else n for x in range(n))
         elems.append(_raw(PartialTransformation, bytes(img)))
     return SemigroupSet(elems, closed=True, commutative=True)
-
-
-def _cycle(n: int, points: Sequence[int]) -> Transformation:
-    img = list(range(n))
-    for i, p in enumerate(points):
-        img[p] = points[(i + 1) % len(points)]
-    return _full(img)
 
 
 def burns_goldsmith_order(n: int) -> int:
@@ -201,29 +198,34 @@ def abelian_witness(n: int) -> SemigroupSet:
 
     Disjoint 3-cycles are packed on consecutive points starting at 0; the
     leftover 4 points (n ≡ 1 mod 3) carry a single 4-cycle, leftover 2
-    points (n ≡ 2) a transposition.  Disjoint generators commute, so the
-    closure is abelian of order = product of the cycle lengths.
+    points (n ≡ 2) a transposition.  Disjoint cycles commute, so the group
+    is built directly as the product of their rotation groups, of order =
+    product of the cycle lengths.
     """
     target = burns_goldsmith_order(n)  # validates n ≥ 2
-    r = n % 3
-    gens = []
-    cap = n - (4 if r == 1 else 2 if r == 2 else 0)
-    for start in range(0, cap, 3):
-        gens.append(_cycle(n, [start, start + 1, start + 2]))
-    if r == 1:
-        gens.append(_cycle(n, [n - 4, n - 3, n - 2, n - 1]))
-    elif r == 2:
-        gens.append(_cycle(n, [n - 2, n - 1]))
-    S = closure(gens)
+    cut = n - (0, 4, 2)[n % 3]
+    cycles = [range(start, start + 3) for start in range(0, cut, 3)]
+    if cut < n:
+        cycles.append(range(cut, n))
+    elems = []
+    for shifts in itertools.product(*(range(len(c)) for c in cycles)):
+        img = [0] * n
+        for c, k in zip(cycles, shifts):
+            for j, p in enumerate(c):
+                img[p] = c[(j + k) % len(c)]
+        elems.append(_full(img))
+    S = SemigroupSet(elems, closed=True, commutative=True)
     if len(S) != target:
         raise AssertionError(
             f"abelian witness at degree {n} has order {len(S)}, expected {target}"
         )
-    return SemigroupSet(S.elements, closed=True, commutative=True)
+    return S
 
 
 def null_plus_identity(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
     """null_max plus the identity: commutative of size ξ(n)+1, two idempotents."""
+    if n < 2:  # T_1 is {id}, already the null maximum
+        raise ValueError(f"null_plus_identity needs degree at least 2, got {n}")
     elems = _null_max_maps(n, points)
     S = SemigroupSet([*elems, Transformation.identity(n)], closed=True, commutative=True)
     if len(S) != len(elems) + 1:

@@ -6,8 +6,9 @@ Adjacency lives in Python-int bitsets (bit v of row u = edge u–v), which
 keeps the branch-and-bound clique search allocation-free in the hot path.
 The commuting relation is built one centralizer at a time
 (:func:`commuting_rows`), so a row costs about the size of the centralizer
-rather than the size of the pool, and the clique search takes its root
-order from a bucket-queue degeneracy order.
+rather than the size of the pool.  One branch-and-bound, rooted in a
+bucket-queue degeneracy order, finds every maximum clique
+(:func:`max_clique_bits`).
 """
 
 from __future__ import annotations
@@ -217,94 +218,63 @@ def _color_sort(P_list: Sequence[int], adj: Sequence[int]) -> tuple[list[int], l
     return order, bounds
 
 
-def max_clique_bits(adj: Sequence[int]) -> tuple[int, list[int], int]:
-    """Exact maximum clique on a bitset adjacency list.
+def max_clique_bits(adj: Sequence[int], floor: int = 0) -> tuple[int, list[list[int]], int]:
+    """Every maximum clique on a bitset adjacency list, by branch-and-bound.
 
-    Branch-and-bound in the style of Tomita: candidates are greedily
-    colored, explored in reverse color order, and a branch is cut when the
-    clique so far plus the color bound cannot beat the incumbent.  Root
-    candidates are taken in reverse degeneracy order, which colors dense
-    cores first.  Fully deterministic.
+    Tomita-style: candidates are greedily colored and explored in reverse
+    color order, from a reverse degeneracy order at the root, which colors
+    dense cores first; a branch is cut only when its color bound falls short
+    of the incumbent, so ties are kept.  Returns ``(size, cliques, nodes)``:
+    the incumbent size (at least ``floor``, where the search starts), its
+    cliques as sorted vertex lists in the order found (none if the clique
+    number is below ``floor``), and the nodes visited.  Fully deterministic.
     """
     n = len(adj)
     if n == 0:
-        return 0, [], 0
-    best: list[int] = []
+        return floor, [[]] if floor == 0 else [], 0
+    best = [floor]
+    cliques: list[list[int]] = []
     root = list(reversed(_degeneracy_order(adj, n)))
-    nodes = _expand((1 << n) - 1, root, adj, [], best)
-    return len(best), sorted(best), nodes
+    nodes = _expand((1 << n) - 1, root, adj, [], best, cliques)
+    return best[0], cliques, nodes
 
 
-def _expand(P_bits: int, P_list: list[int], adj: Sequence[int], R: list, best: list) -> int:
+def _expand(
+    P_bits: int, P_list: list[int], adj: Sequence[int], R: list, best: list, cliques: list
+) -> int:
     """One B&B node extending the clique R from P; returns the nodes visited.
 
-    ``best`` is the incumbent, replaced in place when a larger clique turns
-    up.  (Module-level, as :func:`_walk` is: a recursive closure is a
-    reference cycle.)
+    ``best[0]`` is the incumbent size and ``cliques`` the cliques of that
+    size found so far: a tie is appended, a larger clique replaces them.
+    After v's branch, a v adjacent to every remaining candidate ends the
+    node, since a clique avoiding v could take v as well.  (Module-level,
+    as :func:`_walk` is: a recursive closure is a reference cycle.)
     """
     nodes = 1
     order, bounds = _color_sort(P_list, adj)
     for idx in range(len(order) - 1, -1, -1):
-        if len(R) + bounds[idx] <= len(best):
+        if len(R) + bounds[idx] < best[0]:
             break
         v = order[idx]
         R.append(v)
         new_bits = P_bits & adj[v]
         if new_bits:
-            nodes += _expand(new_bits, _bits_to_list(new_bits), adj, R, best)
-        elif len(R) > len(best):
-            best[:] = R
+            nodes += _expand(new_bits, _bits_to_list(new_bits), adj, R, best, cliques)
+        elif len(R) >= best[0]:
+            if len(R) > best[0]:
+                best[0] = len(R)
+                cliques.clear()
+            cliques.append(sorted(R))
         R.pop()
         P_bits &= ~(1 << v)
+        if P_bits & adj[v] == P_bits:
+            break
     return nodes
 
 
-def all_max_cliques_bits(adj: Sequence[int], target: int) -> list[tuple[int, ...]]:
-    """Every clique of exactly the maximum size ``target``, each found once.
-
-    Vertices are chosen in ascending order inside a clique, so no clique is
-    produced twice; a branch survives only while the color bound keeps
-    ``target`` reachable, and the branches that leave out a vertex adjacent
-    to every remaining candidate are skipped, since every maximum clique
-    there contains it.  ``target`` must be the true maximum (a larger
-    clique would make the outputs non-maximal, a smaller one is rejected by
-    the pruning).
-    """
-    n = len(adj)
-    if target == 0:
-        return [()] if n == 0 else []
-    out: list[tuple[int, ...]] = []
-    _cliques_of_size((1 << n) - 1, adj, target, [], out)
-    return out
-
-
-def _cliques_of_size(P_bits: int, adj: Sequence[int], target: int, R: list, out: list) -> None:
-    """Append to ``out`` every ``target``-clique that extends R by vertices of P."""
-    if len(R) == target:
-        out.append(tuple(R))
-        return
-    need = target - len(R)
-    if P_bits.bit_count() < need:
-        return
-    P_list = _bits_to_list(P_bits)
-    _, bounds = _color_sort(P_list, adj)
-    if bounds and bounds[-1] < need:
-        return
-    for v in P_list:
-        P_bits ^= 1 << v
-        R.append(v)
-        _cliques_of_size(P_bits & adj[v], adj, target, R, out)
-        R.pop()
-        if P_bits & adj[v] == P_bits:
-            # v is adjacent to every remaining candidate, so a clique that
-            # avoids v could take v as well: it is not of the maximum size
-            break
-
-
 def max_clique(g: CommGraph) -> CliqueResult:
-    size, local, nodes = max_clique_bits(g.adj)
-    witness = tuple(sorted(g.vertices[v] for v in local))
-    return CliqueResult(size, witness, nodes)
+    size, cliques, nodes = max_clique_bits(g.adj)
+    return CliqueResult(size, tuple(sorted(g.vertices[v] for v in cliques[0])), nodes)
 
 
 def girth(g: CommGraph) -> float | int:

@@ -186,6 +186,10 @@ def test_criterion_06_unique_idempotent_maximum():
         assert r.size == 9 == TABLE1[5][1]
         assert len(r.maximizers) == 30
         assert all(t.startswith("NULL:N(") for t in r.tags)
+        r = max_unique_idempotent(6, "full")
+        assert r.size == 27 == TABLE1[6][1]
+        assert len(r.maximizers) == 60
+        assert all(t.startswith("NULL:N(") for t in r.tags)
 
         r = max_unique_idempotent(2, "partial")
         assert r.size == 2 == TABLE1[3][1]
@@ -201,11 +205,15 @@ def test_criterion_06_unique_idempotent_maximum():
         assert r.size == 9 == TABLE1[5][1]
         assert all(t.startswith("NULL:OMEGA(") for t in r.tags)
         assert len(r.maximizers) == 6
+        r = max_unique_idempotent(5, "partial")
+        assert r.size == 27 == TABLE1[6][1]
+        assert all(t.startswith("NULL:OMEGA(") for t in r.tags)
+        assert len(r.maximizers) == 10
 
 
 def test_criterion_07_null_maximum():
     with _Criterion(7, "null/nilpotent maximum, both kinds", budget=600.0):
-        expected_full = {2: 1, 3: 2, 4: 4, 5: 9}
+        expected_full = {2: 1, 3: 2, 4: 4, 5: 9, 6: 27}
         for n, want in expected_full.items():
             r = max_null(n, "full")
             assert r.size == want == TABLE1[n][1]
@@ -214,7 +222,7 @@ def test_criterion_07_null_maximum():
             else:
                 assert all(t.startswith("NULL:N(") for t in r.tags)
                 assert len(set(r.tags)) == len(r.tags)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             r = max_null(n, "partial")
             assert r.size == TABLE1[n + 1][1]
             assert all(t.startswith("NULL:OMEGA(") for t in r.tags)

@@ -18,7 +18,7 @@ from commsemi.extremal import (
     xi_alpha,
     xi_table,
 )
-from commsemi.semigroups import idempotents, is_group, is_null, unique_idempotent
+from commsemi.semigroups import SemigroupSet, idempotents, is_group, is_null, unique_idempotent
 from commsemi.transform import PartialTransformation, Transformation, _raw, product
 
 # (n, alpha, xi) for n = 1..20, frozen.
@@ -181,6 +181,10 @@ class TestOmega:
             assert is_null(S) == (True, PartialTransformation.empty(n))
             assert unique_idempotent(S) == PartialTransformation.empty(n)
 
+    def test_rejects_degree_0(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            omega_pn(0, [])
+
     def test_base_set_shape_errors(self):
         with pytest.raises(ValueError):
             omega_pn(4, [0, 0])
@@ -262,6 +266,10 @@ class TestEIX:
             assert PartialTransformation.identity(n) in S
             assert PartialTransformation.empty(n) in S
 
+    def test_rejects_degree_0(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            e_ix(0)
+
     def test_products_intersect_domains(self):
         n = 3
         S = e_ix(n)
@@ -298,7 +306,9 @@ class TestAbelian:
             S = abelian_witness(n)
             assert len(S) == burns_goldsmith_order(n)
             assert is_group(S)
-            assert S.is_commutative()
+            # built without a closure: recheck on a copy without its flags
+            T = SemigroupSet(S.elements)
+            assert T.is_closed() and T.is_commutative()
             assert all(a.is_permutation() for a in S)
 
 
@@ -311,6 +321,11 @@ class TestNullPlusIdentity:
             assert S.is_commutative()
             assert Transformation.identity(n) in S
             assert len(idempotents(S)) == 2
+
+    def test_rejects_degree_1(self):
+        # T_1 is {id}: the null maximum already is the identity
+        with pytest.raises(ValueError, match="degree at least 2"):
+            null_plus_identity(1)
 
 
 class TestKnitWitness:

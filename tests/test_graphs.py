@@ -12,7 +12,6 @@ from commsemi.graphs import (
     _bits_to_list,
     _color_sort,
     _degeneracy_order,
-    all_max_cliques_bits,
     build,
     commuting_rows,
     girth,
@@ -81,8 +80,37 @@ def strip_order(adj, n):
     return order
 
 
+def strict_max_clique(adj):
+    """Reference: the same branch-and-bound cut at ``<=``, with one witness.
+
+    It cuts every branch that can at best tie the incumbent and keeps the
+    first largest clique it meets, so its witness is the first maximum
+    clique in search order.
+    """
+    n = len(adj)
+    if n == 0:
+        return 0, []
+    best = []
+
+    def expand(P_bits, P_list, R):
+        order, bounds = _color_sort(P_list, adj)
+        for idx in range(len(order) - 1, -1, -1):
+            if len(R) + bounds[idx] <= len(best):
+                break
+            v = order[idx]
+            new_bits = P_bits & adj[v]
+            if new_bits:
+                expand(new_bits, _bits_to_list(new_bits), R + [v])
+            elif len(R) + 1 > len(best):
+                best[:] = R + [v]
+            P_bits &= ~(1 << v)
+
+    expand((1 << n) - 1, list(reversed(_degeneracy_order(adj, n))), [])
+    return len(best), sorted(best)
+
+
 def unpruned_max_cliques(adj, target):
-    """all_max_cliques_bits without its universal-vertex skip: the reference."""
+    """Every ``target``-clique in lexicographic order, with no universal-vertex skip."""
     out = []
 
     def rec(P_bits, R):
@@ -104,6 +132,25 @@ def unpruned_max_cliques(adj, target):
         return [()] if not adj else []
     rec((1 << len(adj)) - 1, [])
     return out
+
+
+def assert_matches_references(adj):
+    """The size and first clique of the strict search, and every maximum clique."""
+    size, cliques, _ = max_clique_bits(adj)
+    assert (size, cliques[0]) == strict_max_clique(adj)
+    assert all(clique == sorted(clique) for clique in cliques)
+    assert sorted(map(tuple, cliques)) == unpruned_max_cliques(adj, size)
+
+
+def with_universal_vertices(rng, adj):
+    """adj with up to three random vertices joined to every other vertex."""
+    n = len(adj)
+    for u in rng.sample(range(n), rng.randint(0, min(3, n))):
+        adj[u] = ((1 << n) - 1) ^ (1 << u)
+        for w in range(n):
+            if w != u:
+                adj[w] |= 1 << u
+    return adj
 
 
 def naive_max_cliques(adj):
@@ -314,12 +361,12 @@ class TestCliqueSearch:
                 if rng.random() < p
             ]
             adj = graph_of(n, edges).adj
-            best, cliques = naive_max_cliques(adj)
-            size, witness, nodes = max_clique_bits(adj)
+            best, want = naive_max_cliques(adj)
+            size, cliques, nodes = max_clique_bits(adj)
             assert size == best
-            assert tuple(sorted(witness)) in cliques
             assert nodes >= 1
-            assert set(all_max_cliques_bits(adj, best)) == cliques
+            assert len(cliques) == len(want)
+            assert set(map(tuple, cliques)) == want
 
     @pytest.mark.parametrize(
         "rows",
@@ -328,43 +375,54 @@ class TestCliqueSearch:
             lambda: commuting_rows(enumerate_partial(3).elements),
             lambda: commuting_rows(enumerate_partial(4).elements),
             lambda: commuting_rows(enumerate_full(5).elements),
+            lambda: build(enumerate_full(5)).adj,
+            lambda: build(enumerate_partial(4)).adj,
+            lambda: build(enumerate_sym(6)).adj,
         ],
-        ids=["T4", "P3", "P4", "T5"],
+        ids=["T4", "P3", "P4", "T5", "T5-Z", "P4-Z", "Sym6-id"],
     )
     def test_universal_vertex_skip_keeps_output_and_order(self, rows):
-        # whole semigroups: the center (the identity, the empty map) is universal
-        adj = rows()
-        size = max_clique_bits(adj)[0]
-        assert all_max_cliques_bits(adj, size) == unpruned_max_cliques(adj, size)
+        # whole semigroups: the center (the identity, the empty map) is
+        # universal; a graph without its center (∖Z, Sym6 ∖ {id}) has ties
+        # that the search must walk and the strict search cuts
+        assert_matches_references(rows())
 
     def test_universal_vertex_skip_on_random_graphs(self):
         rng = random.Random(11)
-        for _ in range(200):
+        for _ in range(1000):
             n = rng.randint(1, 14)
             adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            for u in rng.sample(range(n), rng.randint(0, min(3, n))):
-                adj[u] = ((1 << n) - 1) ^ (1 << u)
-                for w in range(n):
-                    if w != u:
-                        adj[w] |= 1 << u
-            size = max_clique_bits(adj)[0]
-            assert all_max_cliques_bits(adj, size) == unpruned_max_cliques(adj, size)
+            assert_matches_references(with_universal_vertices(rng, adj))
+
+    def test_floor(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            n = rng.randint(1, 14)
+            adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            size, cliques, _ = max_clique_bits(adj)
+            # a floor at the clique number keeps every maximum clique
+            assert max_clique_bits(adj, size)[:2] == (size, cliques)
+            # a floor above it cuts them all and is returned as the size
+            assert max_clique_bits(adj, size + 1)[:2] == (size + 1, [])
+
+    def test_empty_graph(self):
+        assert max_clique_bits([]) == (0, [[]], 0)
+        assert max_clique_bits([], 1) == (1, [], 0)
 
     def test_edgeless_graph(self):
-        adj = [0, 0, 0]
-        assert max_clique_bits(adj)[0] == 1
-        assert all_max_cliques_bits(adj, 1) == [(0,), (1,), (2,)]
+        size, cliques, _ = max_clique_bits([0, 0, 0])
+        assert size == 1
+        assert sorted(cliques) == [[0], [1], [2]]
 
     def test_gamma_cliques_present_in_full_3(self):
         S = enumerate_full(3)
         g = build(S)
         local = {v: l for l, v in enumerate(g.vertices)}
         ident = Transformation.identity(3)
-        found = all_max_cliques_bits(g.adj, 3)
+        size, found, _ = max_clique_bits(g.adj)
+        assert size == 3
         for x in range(3):
-            want = tuple(
-                sorted(local[S.elements.index(a)] for a in gamma(3, x) if a != ident)
-            )
+            want = sorted(local[S.elements.index(a)] for a in gamma(3, x) if a != ident)
             assert want in found
         for clique in found:
             for i, u in enumerate(clique):
@@ -507,12 +565,12 @@ T3_ROWS = commuting_rows(enumerate_full(3).elements)
     "call",
     [
         lambda: max_clique_bits(T3_ROWS),
-        lambda: all_max_cliques_bits(T3_ROWS, 4),
+        lambda: max_clique_bits(T3_ROWS, 4),
         lambda: shortest_left_path(enumerate_full(3)),
         lambda: _relabel([(0, 1, 2), (0, 1, 0), (2, 0, 1)]),
         lambda: max_null(4, "full"),
     ],
-    ids=["max_clique_bits", "all_max_cliques_bits", "shortest_left_path", "relabel", "max_null"],
+    ids=["max_clique_bits", "max_clique_bits_floor", "shortest_left_path", "relabel", "max_null"],
 )
 def test_recursive_searches_leave_no_reference_cycles(call):
     gc.collect()

@@ -415,11 +415,13 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_commutative_idempotent(7, "full")
         with pytest.raises(ValueError):
-            max_unique_idempotent(6, "full")
+            max_unique_idempotent(7, "full")
         with pytest.raises(ValueError):
-            max_null(6, "full")
+            max_unique_idempotent(6, "partial")
         with pytest.raises(ValueError):
-            max_null(5, "partial")
+            max_null(7, "full")
+        with pytest.raises(ValueError):
+            max_null(6, "partial")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -429,6 +431,17 @@ class TestCaps:
 
 
 class TestClosureStats:
+    @pytest.mark.parametrize(
+        "search", [max_commutative, max_commutative_idempotent, max_unique_idempotent, max_null]
+    )
+    def test_one_check_per_maximizer(self, search):
+        # only the final maximizers are checked, not the ties of pools
+        # that a larger clique later beats
+        for n, kind in ((4, "full"), (3, "partial")):
+            reset_closure_stats()
+            r = search(n, kind)
+            assert closure_check_stats() == {"checks": len(r.maximizers), "violations": 0}
+
     def test_counting(self):
         reset_closure_stats()
         assert closure_check_stats() == {"checks": 0, "violations": 0}

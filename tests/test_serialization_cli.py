@@ -193,6 +193,10 @@ class TestCliBasics:
         assert cli.run(["xi", "--max", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_xi_rejects_one_row_over_the_cap(self, capsys):
+        assert cli.run(["xi", "--max", "1001"]) == 2
+        assert "capped at 1000" in capsys.readouterr().err
+
 
 class TestCliConstruct:
     def test_gamma(self, capsys, tmp_path):
@@ -235,6 +239,39 @@ class TestCliConstruct:
     def test_bad_points_text(self, capsys):
         assert cli.run(["construct", "nullmax", "--n", "4", "--points", "1,x"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "what, n",
+        [("eix", 0), ("omega", 0), ("nullid", 1)],
+    )
+    def test_degenerate_degree(self, capsys, tmp_path, what, n):
+        # nothing is written that analyze would then reject
+        out_path = tmp_path / "s.json"
+        assert cli.run(["construct", what, "--n", str(n), "--out", str(out_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "what, top",
+        [
+            ("gamma", 17),  # 2^16 = 65,536 elements; 2^17 is over 100,000
+            ("eix", 16),  # 2^16
+            ("nullmax", 12),  # ξ(12) = 78,125; ξ(13) = 390,625
+            ("omega", 11),  # ξ(12)
+            ("nullid", 12),  # ξ(12) + 1
+            ("abelian", 31),  # 4·3^9 = 78,732; 2·3^10 = 118,098 at n = 32
+        ],
+    )
+    def test_one_degree_over_the_size_cap(self, capsys, what, top):
+        assert cli.run(["construct", what, "--n", str(top + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"capped at n ≤ {top}," in err
+        assert "100000 elements" in err
+
+    def test_size_cap_is_checked_before_building(self, capsys):
+        # ξ(n) at this degree alone would take minutes
+        assert cli.run(["construct", "nullmax", "--n", "100000"]) == 2
+        assert "capped at n ≤ 12," in capsys.readouterr().err
 
 
 class TestCliAnalyze:
@@ -545,8 +582,8 @@ class TestCliVerify:
 VERIFY_RANGES = {
     "comm-max": {"full": (2, 5), "partial": (2, 4)},
     "idem-max": {"full": (1, 6), "partial": (1, 5)},
-    "unique-idem-max": {"full": (1, 5), "partial": (1, 4)},
-    "null-max": {"full": (1, 5), "partial": (1, 4)},
+    "unique-idem-max": {"full": (1, 6), "partial": (1, 5)},
+    "null-max": {"full": (1, 6), "partial": (1, 5)},
     "abelian-max": {"full": (2, 6), "partial": None},
     "pclique": {"full": (2, 5), "partial": (2, 4)},
     "girth": {"full": (2, 5), "partial": (2, 4)},

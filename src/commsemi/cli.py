@@ -42,17 +42,13 @@ _MAX_FILE_ELEMENTS = 4096
 
 # ``construct`` refuses a degree whose set would pass _MAX_CONSTRUCT_ELEMENTS
 # (about 1 s to build and write), and ``xi`` a table over _MAX_XI_ROWS rows
-# (about 2 s of exact t^(n−t) arithmetic).
+# (about 2 s of exact t^(n−t) arithmetic).  _CONSTRUCT_TOP holds, for each
+# construction, the last degree at or under that cap: 2^(n−1) for gamma,
+# 2^n for eix, ξ(n) for nullmax, ξ(n+1) for omega, ξ(n)+1 for nullid and the
+# Burns–Goldsmith order for abelian.  knit is always two maps.
 _MAX_CONSTRUCT_ELEMENTS = 100_000
 _MAX_XI_ROWS = 1000
-_CONSTRUCT_SIZES = {  # size at degree n, nondecreasing in n; knit is two maps
-    "gamma": lambda n: 2 ** (n - 1),
-    "eix": lambda n: 2**n,
-    "nullmax": lambda n: extremal.xi_alpha(n).xi,
-    "omega": lambda n: extremal.xi_alpha(n + 1).xi,
-    "nullid": lambda n: extremal.xi_alpha(n).xi + 1,
-    "abelian": extremal.burns_goldsmith_order,
-}
+_CONSTRUCT_TOP = {"gamma": 17, "eix": 16, "nullmax": 12, "omega": 11, "nullid": 12, "abelian": 31}
 
 
 def _fmt_map(a) -> str:
@@ -118,15 +114,11 @@ def _cmd_xi(args) -> int:
 def _cmd_construct(args) -> int:
     n = args.n
     what = args.what
-    if what in _CONSTRUCT_SIZES:
-        top = 2  # stepped up to: ξ(n) alone would hang at a huge n
-        while _CONSTRUCT_SIZES[what](top + 1) <= _MAX_CONSTRUCT_ELEMENTS:
-            top += 1
-        if n > top:
-            raise ValueError(
-                f"construct {what} is capped at n ≤ {top}, where it has at most "
-                f"{_MAX_CONSTRUCT_ELEMENTS} elements; got n={n}"
-            )
+    if n > _CONSTRUCT_TOP.get(what, n):
+        raise ValueError(
+            f"construct {what} is capped at n ≤ {_CONSTRUCT_TOP[what]}, where it has at "
+            f"most {_MAX_CONSTRUCT_ELEMENTS} elements; got n={n}"
+        )
     if what == "gamma":
         S = extremal.gamma(n, args.x - 1)
     elif what == "nullmax":

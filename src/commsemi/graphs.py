@@ -7,8 +7,8 @@ keeps the branch-and-bound clique search allocation-free in the hot path.
 The commuting relation is built one centralizer at a time
 (:func:`commuting_rows`), so a row costs about the size of the centralizer
 rather than the size of the pool.  One branch-and-bound, rooted in a
-bucket-queue degeneracy order, finds every maximum clique
-(:func:`max_clique_bits`).
+bucket-queue degeneracy order, finds one maximum clique or, on request,
+every one (:func:`max_clique_bits`).
 """
 
 from __future__ import annotations
@@ -218,16 +218,21 @@ def _color_sort(P_list: Sequence[int], adj: Sequence[int]) -> tuple[list[int], l
     return order, bounds
 
 
-def max_clique_bits(adj: Sequence[int], floor: int = 0) -> tuple[int, list[list[int]], int]:
-    """Every maximum clique on a bitset adjacency list, by branch-and-bound.
+def max_clique_bits(
+    adj: Sequence[int], floor: int = 0, ties: bool = False
+) -> tuple[int, list[list[int]], int]:
+    """Maximum cliques on a bitset adjacency list, by branch-and-bound.
 
     Tomita-style: candidates are greedily colored and explored in reverse
     color order, from a reverse degeneracy order at the root, which colors
-    dense cores first; a branch is cut only when its color bound falls short
-    of the incumbent, so ties are kept.  Returns ``(size, cliques, nodes)``:
-    the incumbent size (at least ``floor``, where the search starts), its
-    cliques as sorted vertex lists in the order found (none if the clique
-    number is below ``floor``), and the nodes visited.  Fully deterministic.
+    dense cores first.  A branch is cut unless its color bound beats the
+    incumbent, or with ``ties`` reaches it, so that every maximum clique
+    comes back (there can be exponentially many: only callers that list
+    them ask).  Returns ``(size, cliques, nodes)``: the incumbent size (at
+    least ``floor``, where the search starts), its cliques as sorted vertex
+    lists in the order found (empty if no clique beats a positive ``floor``,
+    or with ``ties`` reaches it), and the nodes visited.  ``cliques[0]`` is
+    the same either way.  Fully deterministic.
     """
     n = len(adj)
     if n == 0:
@@ -235,32 +240,33 @@ def max_clique_bits(adj: Sequence[int], floor: int = 0) -> tuple[int, list[list[
     best = [floor]
     cliques: list[list[int]] = []
     root = list(reversed(_degeneracy_order(adj, n)))
-    nodes = _expand((1 << n) - 1, root, adj, [], best, cliques)
+    nodes = _expand((1 << n) - 1, root, adj, [], best, cliques, int(not ties))
     return best[0], cliques, nodes
 
 
 def _expand(
-    P_bits: int, P_list: list[int], adj: Sequence[int], R: list, best: list, cliques: list
+    P_bits: int, P_list: list[int], adj: Sequence[int], R: list, best: list, cliques: list,
+    strict: int,
 ) -> int:
     """One B&B node extending the clique R from P; returns the nodes visited.
 
-    ``best[0]`` is the incumbent size and ``cliques`` the cliques of that
-    size found so far: a tie is appended, a larger clique replaces them.
-    After v's branch, a v adjacent to every remaining candidate ends the
-    node, since a clique avoiding v could take v as well.  (Module-level,
-    as :func:`_walk` is: a recursive closure is a reference cycle.)
+    ``best[0]`` is the incumbent size and ``cliques`` its cliques so far: a
+    larger clique replaces them, and a tie is appended unless ``strict`` is
+    1.  After v's branch, a v adjacent to every remaining candidate ends
+    the node, since a clique avoiding v could take v as well.
+    (Module-level, as :func:`_walk` is: a recursive closure is a cycle.)
     """
     nodes = 1
     order, bounds = _color_sort(P_list, adj)
     for idx in range(len(order) - 1, -1, -1):
-        if len(R) + bounds[idx] < best[0]:
+        if len(R) + bounds[idx] < best[0] + strict:
             break
         v = order[idx]
         R.append(v)
         new_bits = P_bits & adj[v]
         if new_bits:
-            nodes += _expand(new_bits, _bits_to_list(new_bits), adj, R, best, cliques)
-        elif len(R) >= best[0]:
+            nodes += _expand(new_bits, _bits_to_list(new_bits), adj, R, best, cliques, strict)
+        elif len(R) >= best[0] + strict:
             if len(R) > best[0]:
                 best[0] = len(R)
                 cliques.clear()

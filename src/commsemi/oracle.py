@@ -16,10 +16,11 @@ maximum-clique problem on a small induced graph:
 * abelian subgroup: the commuting graph of the symmetric group.
 
 The first four share one driver, :func:`_search`, with one clique search
-per pool.  None of the reductions is taken on faith: every answer set is
-re-checked for product closure (and whatever structure the claim demands)
-before it is reported, and the module-wide counter records every such
-check so a test run can assert that no violation ever occurred.
+per pool that keeps every tie.  None of the reductions is taken on faith:
+every answer set is re-checked for product closure (and whatever structure
+the claim demands) before it is reported, and the module-wide counter
+records every such check so a test run can assert that no violation ever
+occurred.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _search(pools, context: str, tag, check) -> OracleResult:
     """
     best, found = 0, []
     for key, items, adj in pools:
-        size, cliques, _ = max_clique_bits(adj, best)
+        size, cliques, _ = max_clique_bits(adj, best, ties=True)
         if size > best:
             best, found = size, []
         found += [(key, items, K) for K in cliques]

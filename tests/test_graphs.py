@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from commsemi import cli
 from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
@@ -24,6 +25,7 @@ from commsemi.graphs import (
     write_adjacency,
 )
 from commsemi.oracle import max_commutative, max_null
+from commsemi.serialization import write_semigroup_file
 from commsemi.semigroups import (
     SemigroupSet,
     enumerate_full,
@@ -85,14 +87,15 @@ def strict_max_clique(adj):
 
     It cuts every branch that can at best tie the incumbent and keeps the
     first largest clique it meets, so its witness is the first maximum
-    clique in search order.
+    clique in search order.  Returns ``(size, witness, nodes)``.
     """
     n = len(adj)
     if n == 0:
-        return 0, []
+        return 0, [], 0
     best = []
 
     def expand(P_bits, P_list, R):
+        nodes = 1
         order, bounds = _color_sort(P_list, adj)
         for idx in range(len(order) - 1, -1, -1):
             if len(R) + bounds[idx] <= len(best):
@@ -100,13 +103,14 @@ def strict_max_clique(adj):
             v = order[idx]
             new_bits = P_bits & adj[v]
             if new_bits:
-                expand(new_bits, _bits_to_list(new_bits), R + [v])
+                nodes += expand(new_bits, _bits_to_list(new_bits), R + [v])
             elif len(R) + 1 > len(best):
                 best[:] = R + [v]
             P_bits &= ~(1 << v)
+        return nodes
 
-    expand((1 << n) - 1, list(reversed(_degeneracy_order(adj, n))), [])
-    return len(best), sorted(best)
+    nodes = expand((1 << n) - 1, list(reversed(_degeneracy_order(adj, n))), [])
+    return len(best), sorted(best), nodes
 
 
 def unpruned_max_cliques(adj, target):
@@ -135,11 +139,38 @@ def unpruned_max_cliques(adj, target):
 
 
 def assert_matches_references(adj):
-    """The size and first clique of the strict search, and every maximum clique."""
-    size, cliques, _ = max_clique_bits(adj)
-    assert (size, cliques[0]) == strict_max_clique(adj)
+    """One witness as the strict search finds it, and every maximum clique on request.
+
+    Without ``ties`` the search keeps the strict search's witness and visits
+    no more nodes; with ``ties`` its first clique is that witness and it
+    lists every maximum clique.
+    """
+    size, witness, nodes = strict_max_clique(adj)
+    assert max_clique_bits(adj)[:2] == (size, [witness])
+    assert max_clique_bits(adj)[2] <= nodes
+    got, cliques, _ = max_clique_bits(adj, ties=True)
+    assert (got, cliques[0]) == (size, witness)
     assert all(clique == sorted(clique) for clique in cliques)
     assert sorted(map(tuple, cliques)) == unpruned_max_cliques(adj, size)
+
+
+def cocktail_party_semigroup(k):
+    """A closed set of 3k + 1 partial maps whose commuting graph has 2^k maximum cliques.
+
+    On the points p_i, q_i, r_i = 3i, 3i + 1, 3i + 2 it holds a_i: p_i -> q_i,
+    b_i: q_i -> r_i, c_i: p_i -> r_i and the empty map.  Every product is
+    empty but a_i b_i = c_i, so the non-central elements are the a_i and
+    b_i, and only a_i and b_i fail to commute: the cocktail-party graph,
+    whose maximum cliques take one of a_i, b_i for each i.
+    """
+    n = 3 * k
+    maps = [PartialTransformation([None] * n)]
+    for i in range(k):
+        for src, dst in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2), (3 * i, 3 * i + 2)):
+            img = [None] * n
+            img[src] = dst
+            maps.append(PartialTransformation(img))
+    return SemigroupSet(maps)
 
 
 def with_universal_vertices(rng, adj):
@@ -362,7 +393,7 @@ class TestCliqueSearch:
             ]
             adj = graph_of(n, edges).adj
             best, want = naive_max_cliques(adj)
-            size, cliques, nodes = max_clique_bits(adj)
+            size, cliques, nodes = max_clique_bits(adj, ties=True)
             assert size == best
             assert nodes >= 1
             assert len(cliques) == len(want)
@@ -399,27 +430,57 @@ class TestCliqueSearch:
         for _ in range(100):
             n = rng.randint(1, 14)
             adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            size, cliques, _ = max_clique_bits(adj)
+            size, cliques, _ = max_clique_bits(adj, ties=True)
             # a floor at the clique number keeps every maximum clique
-            assert max_clique_bits(adj, size)[:2] == (size, cliques)
+            assert max_clique_bits(adj, size, ties=True)[:2] == (size, cliques)
+            # without ties, no clique beats that floor
+            assert max_clique_bits(adj, size)[:2] == (size, [])
             # a floor above it cuts them all and is returned as the size
-            assert max_clique_bits(adj, size + 1)[:2] == (size + 1, [])
+            for ties in (False, True):
+                assert max_clique_bits(adj, size + 1, ties)[:2] == (size + 1, [])
 
     def test_empty_graph(self):
-        assert max_clique_bits([]) == (0, [[]], 0)
-        assert max_clique_bits([], 1) == (1, [], 0)
+        for ties in (False, True):
+            assert max_clique_bits([], 0, ties) == (0, [[]], 0)
+            assert max_clique_bits([], 1, ties) == (1, [], 0)
 
     def test_edgeless_graph(self):
-        size, cliques, _ = max_clique_bits([0, 0, 0])
+        assert max_clique_bits([0, 0, 0]) == (1, [[0]], 1)
+        size, cliques, _ = max_clique_bits([0, 0, 0], ties=True)
         assert size == 1
         assert sorted(cliques) == [[0], [1], [2]]
+
+    def test_one_witness_among_exponentially_many_ties(self):
+        # 2^40 maximum cliques: listing them would never end, and one
+        # witness is cut out of the colour bound in a few nodes per level
+        k = 40
+        S = cocktail_party_semigroup(k)
+        assert S.is_closed() and not S.is_commutative()
+        g = build(S)
+        assert g.vertex_count == 2 * k
+        res = max_clique(g)
+        assert res.size == k
+        assert res.nodes_explored <= 2 * k
+        chosen = [S.elements[i] for i in res.witness]
+        assert all(product(a, b) == product(b, a) for a in chosen for b in chosen)
+        # the listing itself, at a size it can finish: 2^4 ties
+        assert len(max_clique_bits(build(cocktail_party_semigroup(4)).adj, ties=True)[1]) == 16
+
+    def test_clique_command_on_a_file_with_2_to_the_40_ties(self, capsys, tmp_path):
+        # 121 elements: far below the file commands' element cap
+        path = tmp_path / "cocktail.json"
+        write_semigroup_file(cocktail_party_semigroup(40), str(path))
+        assert cli.run(["graph", str(path), "--clique"]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 80" in out
+        assert "clique number: 40" in out
 
     def test_gamma_cliques_present_in_full_3(self):
         S = enumerate_full(3)
         g = build(S)
         local = {v: l for l, v in enumerate(g.vertices)}
         ident = Transformation.identity(3)
-        size, found, _ = max_clique_bits(g.adj)
+        size, found, _ = max_clique_bits(g.adj, ties=True)
         assert size == 3
         for x in range(3):
             want = sorted(local[S.elements.index(a)] for a in gamma(3, x) if a != ident)
@@ -566,11 +627,12 @@ T3_ROWS = commuting_rows(enumerate_full(3).elements)
     [
         lambda: max_clique_bits(T3_ROWS),
         lambda: max_clique_bits(T3_ROWS, 4),
+        lambda: max_clique_bits(T3_ROWS, ties=True),
         lambda: shortest_left_path(enumerate_full(3)),
         lambda: _relabel([(0, 1, 2), (0, 1, 0), (2, 0, 1)]),
         lambda: max_null(4, "full"),
     ],
-    ids=["max_clique_bits", "max_clique_bits_floor", "shortest_left_path", "relabel", "max_null"],
+    ids=["max_clique_bits", "max_clique_bits_floor", "max_clique_bits_ties", "shortest_left_path", "relabel", "max_null"],
 )
 def test_recursive_searches_leave_no_reference_cycles(call):
     gc.collect()

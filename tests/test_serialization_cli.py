@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from commsemi import cli
-from commsemi.extremal import e_ix, gamma, null_max, omega_pn, xi_table
+from commsemi.extremal import (
+    burns_goldsmith_order,
+    e_ix,
+    gamma,
+    null_max,
+    omega_pn,
+    xi_alpha,
+    xi_table,
+)
 from commsemi.semigroups import SemigroupSet, closure, enumerate_full
 from commsemi.serialization import (
     dumps_report,
@@ -267,6 +275,19 @@ class TestCliConstruct:
         err = capsys.readouterr().err
         assert f"capped at n ≤ {top}," in err
         assert "100000 elements" in err
+
+    def test_size_cap_table_matches_the_closed_forms(self):
+        sizes = {
+            "gamma": lambda n: 2 ** (n - 1),
+            "eix": lambda n: 2**n,
+            "nullmax": lambda n: xi_alpha(n).xi,
+            "omega": lambda n: xi_alpha(n + 1).xi,
+            "nullid": lambda n: xi_alpha(n).xi + 1,
+            "abelian": burns_goldsmith_order,
+        }
+        assert cli._CONSTRUCT_TOP.keys() == sizes.keys()
+        for what, top in cli._CONSTRUCT_TOP.items():
+            assert sizes[what](top) <= cli._MAX_CONSTRUCT_ELEMENTS < sizes[what](top + 1)
 
     def test_size_cap_is_checked_before_building(self, capsys):
         # ξ(n) at this degree alone would take minutes

@@ -60,7 +60,7 @@ from .semigroups import (
     is_null,
     unique_idempotent,
 )
-from .transform import Transformation, _raw, is_idempotent, omega_power, product
+from .transform import _FILL, Transformation, _raw, is_idempotent, omega_power, product
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -335,27 +335,47 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
     the first 60 batches is returned — single random maps commute rarely,
     so without the best-of step nearly every output would be a tiny cyclic
     semigroup.  Deterministic per seed.
+
+    Each image point is drawn as ``rng.randrange(n)`` draws it (the same
+    ``getrandbits`` calls, rejecting values ≥ n), and candidates are drawn
+    and commute-tested on their image bytes, so the output is the same as
+    drawing ``Transformation`` objects with ``randrange``.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     rng = random.Random(seed)
-    ident = Transformation.identity(n)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    ident = Transformation.identity(n)  # checks the degree before any draw
+    fill = _FILL[n]
     best: SemigroupSet | None = None
     for batch in range(2000):
         if best is not None and batch >= 60:
             break
         want = rng.randint(1, 3)
-        gens: list[Transformation] = []
+        gens: list[bytes] = []  # duplicates kept: each one counts toward want
+        tables: list[bytes] = []
         tries = 0
         while len(gens) < want and tries < 25:
             tries += 1
-            cand = _raw(Transformation, bytes([rng.randrange(n) for _ in range(n)]))
-            if all(product(cand, g) == product(g, cand) for g in gens):
+            draw = []
+            for _ in range(n):
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                draw.append(r)
+            cand = bytes(draw)
+            table = cand + fill
+            for g, t in zip(gens, tables):
+                if cand.translate(t) != g.translate(table):  # cand·g ≠ g·cand
+                    break
+            else:
                 gens.append(cand)
+                tables.append(table)
         if not gens:
             continue
         try:
-            S = closure(gens, limit=400)
+            S = closure([_raw(Transformation, g) for g in gens], limit=400)
         except ClosureLimitExceeded:
             continue
         es = idempotents(S)

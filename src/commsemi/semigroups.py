@@ -17,6 +17,7 @@ from .transform import (
     AnyTransformation,
     PartialTransformation,
     Transformation,
+    _FILL,
     _raw,
     compose,
     is_idempotent as _is_idempotent_el,
@@ -141,31 +142,35 @@ def closure(
     *,
     limit: int | None = None,
 ) -> SemigroupSet:
-    """Smallest product-closed superset of the generators.
+    """Smallest product-closed superset of the generators, ⟨G⟩.
 
-    Processes each element against everything seen before it (both orders),
-    so every pair is eventually covered.  ``limit`` aborts runaway growth
-    with :class:`ClosureLimitExceeded`.
+    Every element of ⟨G⟩ is a word in G, so right-multiplying each new
+    element by each distinct generator reaches all of it: |⟨G⟩|·|G|
+    products on the image bytes, not |⟨G⟩|².  All generators must share one
+    kind and degree (TypeError / ValueError as for ``product``).  ``limit``
+    aborts runaway growth: :class:`ClosureLimitExceeded` is raised exactly
+    when |⟨G⟩| > limit.
     """
-    gens = list(generators)
+    gens = list(dict.fromkeys(generators))
     if not gens:
         raise ValueError("closure needs at least one generator")
-    items = list(dict.fromkeys(gens))
-    seen = set(items)
-    i = 0
-    while i < len(items):
-        a = items[i]
-        for b in items[: i + 1]:
-            for p in (compose(a, b), compose(b, a)):
-                if p not in seen:
-                    seen.add(p)
-                    items.append(p)
-                    if limit is not None and len(items) > limit:
-                        raise ClosureLimitExceeded(
-                            f"closure exceeded the size limit of {limit}"
-                        )
-        i += 1
-    return SemigroupSet(items, closed=True)
+    first = gens[0]
+    for g in gens:
+        compose(first, g)  # raises on a mixed kind or degree, with product's message
+    fill = _FILL[len(first.img)]
+    tables = [g.img + fill for g in gens]
+    imgs = [g.img for g in gens]
+    seen = set(imgs)
+    for a in imgs:  # imgs grows while it is walked
+        if limit is not None and len(imgs) > limit:
+            raise ClosureLimitExceeded(f"closure exceeded the size limit of {limit}")
+        for t in tables:
+            p = a.translate(t)
+            if p not in seen:
+                seen.add(p)
+                imgs.append(p)
+    cls = type(first)
+    return SemigroupSet([_raw(cls, p) for p in imgs], closed=True)
 
 
 def _require_closed(S: SemigroupSet, op: str) -> None:

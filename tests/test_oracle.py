@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -22,15 +23,18 @@ from commsemi.oracle import (
     reset_closure_stats,
 )
 from commsemi.semigroups import (
+    ClosureLimitExceeded,
     SemigroupSet,
     classify_small_abelian_group,
+    closure,
     has_unique_idempotent,
+    idempotents,
     is_group,
     is_null,
     unique_idempotent,
 )
 from commsemi.serialization import semigroup_digest
-from commsemi.transform import PartialTransformation, Transformation, product
+from commsemi.transform import PartialTransformation, Transformation, _raw, product
 
 
 def holds(result, S):
@@ -372,7 +376,56 @@ class TestMaxAbelianSubgroup:
             max_abelian_subgroup(7)
 
 
+def object_level_sampler(n, seed):
+    """The sampler as it was before it drew and commute-tested on image
+    bytes: Transformation objects from ``randrange``, commute test by
+    ``product``.  Kept verbatim as the reference for the draws."""
+    if n < 2:
+        raise ValueError(f"degree must be at least 2, got {n}")
+    rng = random.Random(seed)
+    ident = Transformation.identity(n)
+    best = None
+    for batch in range(2000):
+        if best is not None and batch >= 60:
+            break
+        want = rng.randint(1, 3)
+        gens = []
+        tries = 0
+        while len(gens) < want and tries < 25:
+            tries += 1
+            cand = _raw(Transformation, bytes([rng.randrange(n) for _ in range(n)]))
+            if all(product(cand, g) == product(g, cand) for g in gens):
+                gens.append(cand)
+        if not gens:
+            continue
+        try:
+            S = closure(gens, limit=400)
+        except ClosureLimitExceeded:
+            continue
+        es = idempotents(S)
+        if len(es) != 1 or es[0] == ident:
+            continue
+        if not S.is_commutative():  # cannot happen: commuting generators
+            raise RuntimeError("closure of commuting generators is not commutative")
+        if best is None or len(S) > len(best):
+            best = S
+    if best is None:
+        raise RuntimeError(
+            f"could not generate a unique-idempotent semigroup of degree {n} "
+            f"after 2000 attempts (seed {seed})"
+        )
+    return best
+
+
 class TestRandomGenerator:
+    def test_same_draws_as_the_object_level_sampler(self):
+        for seed in range(300):
+            n = 2 + seed % 5
+            S = random_commutative_unique_idem(n, seed)
+            assert S.elements == object_level_sampler(n, seed).elements, seed
+            unflagged = SemigroupSet(S.elements)
+            assert unflagged.is_closed() and unflagged.is_commutative(), seed
+
     def test_deterministic(self):
         a = random_commutative_unique_idem(5, 123)
         b = random_commutative_unique_idem(5, 123)
@@ -404,6 +457,10 @@ class TestRandomGenerator:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             random_commutative_unique_idem(1, 0)
+
+    def test_degree_checked_before_drawing(self):
+        with pytest.raises(ValueError, match="degree must be between 1 and 255"):
+            random_commutative_unique_idem(256, 0)
 
 
 class TestCaps:

@@ -1,0 +1,94 @@
+"""Hypothesis properties of the element product, the embedding of partial
+maps and the canonical JSON form, on both kinds.
+
+Each test skips where hypothesis is not installed.
+"""
+
+import json
+
+import pytest
+
+from commsemi.semigroups import SemigroupSet
+from commsemi.serialization import dumps_semigroup, load_semigroup
+from commsemi.transform import PartialTransformation, Transformation, embed_partial, product
+
+SETTINGS = dict(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def hypothesis_and_maps():
+    """hypothesis, and a strategy for (kind, degree, k maps) with k from 1 to 5
+    unless ``count`` fixes it, the kind drawn from ``kinds``.
+
+    Partial maps are drawn with ``None`` as the undefined image, so the
+    constructors' own checks run on every draw.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def maps(draw, count=None, kinds=(Transformation, PartialTransformation)):
+        cls = draw(st.sampled_from(kinds))
+        n = draw(st.integers(1, 6))
+        values = st.integers(0, n - 1)
+        if cls is PartialTransformation:
+            values = values | st.none()
+        k = count if count is not None else draw(st.integers(1, 5))
+        return cls, n, [cls(draw(st.lists(values, min_size=n, max_size=n))) for _ in range(k)]
+
+    return hypothesis, maps
+
+
+def apply(a, x):
+    """x·a for a point x, or None for ⊥ (also when x is None)."""
+    return None if x is None else a(x)
+
+
+def test_product_is_associative_and_keeps_the_kind():
+    hypothesis, maps = hypothesis_and_maps()
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps(count=3))
+    def prop(case):
+        cls, n, (a, b, c) = case
+        ab = product(a, b)
+        assert type(ab) is cls and ab.degree == n
+        assert [ab(x) for x in range(n)] == [apply(b, a(x)) for x in range(n)]
+        assert product(ab, c) == product(a, product(b, c))
+        other = PartialTransformation if cls is Transformation else Transformation
+        stranger = other.identity(n)
+        for x, y in ((a, stranger), (stranger, a)):
+            with pytest.raises(TypeError, match="the kinds must match"):
+                product(x, y)
+
+    prop()
+
+
+def test_embed_partial_is_an_injective_homomorphism():
+    hypothesis, maps = hypothesis_and_maps()
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps(count=2, kinds=(PartialTransformation,)))
+    def prop(case):
+        _, n, (a, b) = case
+        ea, eb = embed_partial(a), embed_partial(b)
+        assert type(ea) is Transformation and ea.degree == n + 1
+        assert embed_partial(product(a, b)) == product(ea, eb)
+        assert (ea == eb) == (a == b)
+
+    prop()
+
+
+def test_canonical_json_round_trips():
+    hypothesis, maps = hypothesis_and_maps()
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps())
+    def prop(case):
+        cls, n, elems = case
+        S = SemigroupSet(elems)
+        text = dumps_semigroup(S)
+        T = load_semigroup(json.loads(text))
+        assert T == S and T.kind == S.kind and T.degree == n
+        assert dumps_semigroup(T) == text
+
+    prop()

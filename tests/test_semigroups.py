@@ -44,12 +44,13 @@ def example_semigroup():
 
 
 def brute_closure(gens, prod):
-    items = set(gens)
-    while True:
-        new = {prod(a, b) for a in items for b in items} - items
-        if not new:
-            return items
-        items |= new
+    """Every pairwise product, round after round, until nothing is new."""
+    items, new = set(), set(gens)
+    while new:
+        old, items = items, items | new
+        new = {prod(a, b) for a in items for b in new} | {prod(b, a) for a in old for b in new}
+        new -= items
+    return items
 
 
 class TestSemigroupSet:
@@ -122,16 +123,49 @@ class TestClosure:
         ]
 
     def test_matches_brute_force_sampled(self):
+        # both kinds, 1-3 generators that need not commute or be distinct;
+        # degree 5 only for 1-2 full maps, which keeps the brute force small
         rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(2, 5)
-            gens = [
-                Transformation(tuple(rng.randrange(n) for _ in range(n)))
-                for _ in range(rng.randint(1, 2))
-            ]
+        for _ in range(150):
+            cls = rng.choice([Transformation, PartialTransformation])
+            k = rng.randint(1, 3)
+            n = rng.randint(2, 5 if cls is Transformation and k < 3 else 4)
+            values = [*range(n), None] if cls is PartialTransformation else list(range(n))
+            gens = [cls(rng.choice(values) for _ in range(n)) for _ in range(k)]
             S = closure(gens)
             expected = brute_closure(gens, lambda a, b: a * b)
             assert set(S.elements) == expected
+            assert S.kind == ("partial" if cls is PartialTransformation else "full")
+
+    def test_limit_raises_exactly_above_the_size(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            gens = [
+                Transformation(rng.randrange(n) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            size = len(brute_closure(gens, lambda a, b: a * b))
+            for limit in {1, len(set(gens)), size - 1, size, size + 1} - {0}:
+                if size > limit:
+                    with pytest.raises(ClosureLimitExceeded):
+                        closure(gens, limit=limit)
+                else:
+                    assert len(closure(gens, limit=limit)) == size
+
+    def test_mixed_kinds_rejected(self):
+        a, b = Transformation([1, 0]), PartialTransformation([1, None])
+        for gens in ([a, b], [b, a], [a, a, b]):
+            with pytest.raises(TypeError, match="the kinds must match"):
+                closure(gens)
+
+    def test_mixed_degrees_rejected(self):
+        for gens in (
+            [Transformation([1, 0]), Transformation([1, 2, 0])],
+            [PartialTransformation([None, 0, 1]), PartialTransformation([0, None])],
+        ):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                closure(gens)
 
     def test_limit(self):
         # two generators of Sym_4 reach 24 > 10 elements

@@ -17,9 +17,11 @@ as a point.  The null builders, the surgery's output and its
 from __future__ import annotations
 
 import itertools
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .semigroups import SemigroupSet
+from .semigroups import _IMG, SemigroupSet
 from .transform import AnyTransformation, PartialTransformation, Transformation, _raw
 
 
@@ -84,7 +86,13 @@ def _check_null_shape(elems: Iterable, points: Sequence[int]) -> AnyTransformati
     constant map to x₁, so a set of such maps is closed, commutative and
     null without looping over pairs.  ⊥ = n counts as a point that every
     map fixes, so Ω(B) is the shape on (⊥, *B).
+
+    The whole set is checked in C; only a failure walks it element by
+    element, to name the first bad one.
     """
+    elems = list(elems)
+    if _in_null_shape(list(map(_IMG, elems)), points):
+        return None
     x1 = points[0]
     pts = frozenset(points)
     for a in elems:
@@ -92,6 +100,30 @@ def _check_null_shape(elems: Iterable, points: Sequence[int]) -> AnyTransformati
         if any(img[p] != x1 for p in points) or not pts.issuperset(a.img):
             return a
     return None
+
+
+def _in_null_shape(imgs: list[bytes], points: Sequence[int]) -> bool:
+    """True if every image is in the null shape on ``points``, checked in C.
+
+    False means some image is outside it, or that this check cannot decide
+    (mixed degrees, a point out of range); the caller then looks element by
+    element.
+    """
+    x1 = points[0]
+    if not imgs:
+        return True
+    n = len(imgs[0])
+    pts = frozenset(points)
+    if min(pts) < 0 or max(pts) > n or set(map(len, imgs)) != {n}:
+        return False
+    if n in pts and x1 != n:  # every map fixes ⊥, so ⊥ can only be x₁
+        return False
+    to_x1 = [p for p in points if p != n]
+    if to_x1:
+        at = itemgetter(*to_x1)  # an int for one point, else a tuple
+        if not set(map(at, imgs)) <= {at(bytes([x1]) * n)}:
+            return False
+    return pts.issuperset(chain.from_iterable(imgs))
 
 
 def _null_maps(cls: type, n: int, points: Sequence[int]) -> list:
@@ -102,13 +134,9 @@ def _null_maps(cls: type, n: int, points: Sequence[int]) -> list:
         raise ValueError("points must be a nonempty list of distinct values")
     if any(not 0 <= p < n + (cls is PartialTransformation) for p in pts):
         raise ValueError(f"points {pts} out of range for degree {n}")
-    free = [y for y in range(n) if y not in pts]
-    img = [pts[0]] * n
-    elems = []
-    for choice in itertools.product(pts, repeat=len(free)):
-        for y, v in zip(free, choice):
-            img[y] = v
-        elems.append(_raw(cls, bytes(img)))
+    # base points go to x₁, free points anywhere in pts; the last slot varies fastest
+    slots = [(pts[0],) if y in pts else pts for y in range(n)]
+    elems = [_raw(cls, img) for img in map(bytes, itertools.product(*slots))]
     bad = _check_null_shape(elems, pts)
     if bad is not None:
         raise AssertionError(f"null builder produced {bad!r}, outside the null shape on {pts}")

@@ -49,8 +49,9 @@ from .graphs import (
 from .semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
+    _all_commute,
+    _closure_images,
     classify_small_abelian_group,
-    closure,
     enumerate_full,
     enumerate_partial,
     enumerate_sym,
@@ -337,18 +338,19 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
     semigroup.  Deterministic per seed.
 
     Each image point is drawn as ``rng.randrange(n)`` draws it (the same
-    ``getrandbits`` calls, rejecting values ≥ n), and candidates are drawn
-    and commute-tested on their image bytes, so the output is the same as
-    drawing ``Transformation`` objects with ``randrange``.
+    ``getrandbits`` calls, rejecting values ≥ n), so the output is the same
+    as drawing ``Transformation`` objects with ``randrange``.  Candidates
+    are drawn, commute-tested, closed (by the closure kernel) and screened
+    on their image bytes; only the returned best becomes a set.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     bits = n.bit_length()
-    ident = Transformation.identity(n)  # checks the degree before any draw
+    ident = Transformation.identity(n).img  # checks the degree before any draw
     fill = _FILL[n]
-    best: SemigroupSet | None = None
+    best: list[bytes] | None = None
     for batch in range(2000):
         if best is not None and batch >= 60:
             break
@@ -375,22 +377,25 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
         if not gens:
             continue
         try:
-            S = closure([_raw(Transformation, g) for g in gens], limit=400)
+            imgs = _closure_images(list(dict.fromkeys(gens)), 400)
         except ClosureLimitExceeded:
             continue
-        es = idempotents(S)
+        tables = [a + fill for a in imgs]
+        es = [a for a, t in zip(imgs, tables) if a.translate(t) == a]
         if len(es) != 1 or es[0] == ident:
             continue
-        if not S.is_commutative():  # cannot happen: commuting generators
+        if not _all_commute(imgs, tables):  # cannot happen: commuting generators
             raise RuntimeError("closure of commuting generators is not commutative")
-        if best is None or len(S) > len(best):
-            best = S
+        if best is None or len(imgs) > len(best):
+            best = imgs
     if best is None:
         raise RuntimeError(
             f"could not generate a unique-idempotent semigroup of degree {n} "
             f"after 2000 attempts (seed {seed})"
         )
-    return best
+    return SemigroupSet(
+        [_raw(Transformation, a) for a in best], closed=True, commutative=True
+    )
 
 
 # ---------------------------------------------------------------------------

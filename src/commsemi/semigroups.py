@@ -120,21 +120,38 @@ class SemigroupSet:
 
     def is_closed(self) -> bool:
         if self._closed is None:
-            members = self._set
+            imgs, tables = _images_and_tables(self)
+            members = set(imgs)
             self._closed = all(
-                compose(a, b) in members for a in self.elements for b in self.elements
+                members.issuperset(map(bytes.translate, imgs, itertools.repeat(t)))
+                for t in tables
             )
         return self._closed
 
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            elems = self.elements
-            self._commutative = all(
-                compose(a, b) == compose(b, a)
-                for i, a in enumerate(elems)
-                for b in elems[i + 1 :]
-            )
+            self._commutative = _all_commute(*_images_and_tables(self))
         return self._commutative
+
+
+def _images_and_tables(S: SemigroupSet) -> tuple[list[bytes], list[bytes]]:
+    """The image bytes of S's elements, and each one's ``translate`` table.
+
+    ``a.translate(t_b)`` is the image of the product ab, so the predicates
+    test all |S|² pairs in C, without an element object per product.
+    """
+    imgs = list(map(_IMG, S.elements))
+    fill = _FILL[S.degree]
+    return imgs, [img + fill for img in imgs]
+
+
+def _all_commute(imgs: list[bytes], tables: list[bytes]) -> bool:
+    """True iff ab = ba for all images a, b of one degree (tables as above)."""
+    return all(
+        list(map(a.translate, tables[i + 1 :]))  # a·b for every later b
+        == list(map(bytes.translate, imgs[i + 1 :], itertools.repeat(t)))  # b·a
+        for i, (a, t) in enumerate(zip(imgs, tables))
+    )
 
 
 def closure(
@@ -157,9 +174,20 @@ def closure(
     first = gens[0]
     for g in gens:
         compose(first, g)  # raises on a mixed kind or degree, with product's message
-    fill = _FILL[len(first.img)]
-    tables = [g.img + fill for g in gens]
-    imgs = [g.img for g in gens]
+    cls = type(first)
+    imgs = _closure_images([g.img for g in gens], limit)
+    return SemigroupSet([_raw(cls, p) for p in imgs], closed=True)
+
+
+def _closure_images(gens: list[bytes], limit: int | None) -> list[bytes]:
+    """The images of ⟨G⟩, for distinct generator images of one degree.
+
+    The body of :func:`closure`, which checks the generators first; the
+    unique-idempotent sampler calls it directly on its draws.
+    """
+    fill = _FILL[len(gens[0])]
+    tables = [g + fill for g in gens]
+    imgs = list(gens)
     seen = set(imgs)
     for a in imgs:  # imgs grows while it is walked
         if limit is not None and len(imgs) > limit:
@@ -169,8 +197,7 @@ def closure(
             if p not in seen:
                 seen.add(p)
                 imgs.append(p)
-    cls = type(first)
-    return SemigroupSet([_raw(cls, p) for p in imgs], closed=True)
+    return imgs
 
 
 def _require_closed(S: SemigroupSet, op: str) -> None:

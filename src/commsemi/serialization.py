@@ -14,20 +14,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain
 
-from .semigroups import FULL, PARTIAL, SemigroupSet
+from .semigroups import _IMG, FULL, PARTIAL, SemigroupSet
 from .transform import PartialTransformation, Transformation, _checked_degree, _raw
 
 
 def to_jsonable(S: SemigroupSet) -> dict:
-    rows = []
+    imgs = map(_IMG, S)
     if S.kind == FULL:
-        for a in S:
-            rows.append(list(a.img))
+        rows = list(map(list, imgs))
     else:
-        n = S.degree
-        for a in S:
-            rows.append([None if v == n else v for v in a.img])
+        spell = (*range(S.degree), None).__getitem__  # the sentinel n is null on disk
+        rows = [list(map(spell, img)) for img in imgs]
     return {"degree": S.degree, "kind": S.kind, "elements": rows}
 
 
@@ -60,43 +59,50 @@ def load_semigroup(obj) -> SemigroupSet:
     if not isinstance(rows, list) or not rows:
         raise ValueError("elements must be a non-empty list")
     cls = Transformation if kind == FULL else PartialTransformation
-    elems = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"element {i} must be a list of {n} images")
-        img = _row_image(row, n, kind == PARTIAL)
-        if img is None:
+    elems = _good_rows(rows, n, kind == PARTIAL)
+    if elems is None:
+        elems = []
+        for i, row in enumerate(rows):  # some row is bad: find it and say why
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError(f"element {i} must be a list of {n} images")
             for v in row:
                 if v is None:
                     if kind == FULL:
                         raise ValueError(f"element {i}: null image in a full map")
                 elif not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ValueError(f"element {i}: image {v!r} out of range 0..{n - 1}")
-            img = cls(row).img  # the row is good but holds an int subclass
-        elems.append(_raw(cls, img))
-    S = SemigroupSet(elems)
+            elems.append(cls(row).img)  # the row is good but holds an int subclass
+    S = SemigroupSet([_raw(cls, img) for img in elems])
     if len(S) != len(rows):
         raise ValueError("elements contain duplicates")
     return S
 
 
-def _row_image(row: list, n: int, partial: bool) -> bytes | None:
-    """The images of one on-disk row (null as the sentinel n), or None.
+def _good_rows(rows: list, n: int, partial: bool) -> list[bytes] | None:
+    """The images of every on-disk row (null as the sentinel n), or None.
 
-    None means some value is not an ``int`` in ``[0, n)`` (or null, in a
-    partial row); the caller then finds it value by value.  The checks here
-    make no Python call per value, since a file can hold ξ(n) rows.
+    None means some row is not a list of n values that are each an ``int``
+    in ``[0, n)`` or, in a partial file, null; the caller then finds it row
+    by row.  The checks stream over all rows at once in C, since a file can
+    hold ξ(n) rows, and build no flat copy of them.
     """
-    if partial and None in row:
-        if n in row:  # the in-memory sentinel spelled on disk
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+        return None
+    types = set(map(type, chain.from_iterable(rows)))
+    if partial:
+        if not types <= {int, type(None)}:
             return None
-        row = [n if v is None else v for v in row]
-        top = n
-    else:
-        top = n - 1
-    if set(map(type, row)) == {int} and min(row) >= 0 and max(row) <= top:
-        return bytes(row)
-    return None
+        image = {v: v for v in range(n)}
+        image[None] = n
+        try:
+            return [bytes(map(image.__getitem__, row)) for row in rows]
+        except KeyError:  # out of range, or the in-memory sentinel n spelled on disk
+            return None
+    if types != {int}:
+        return None
+    if min(chain.from_iterable(rows)) < 0 or max(chain.from_iterable(rows)) >= n:
+        return None
+    return list(map(bytes, rows))
 
 
 def load_semigroup_file(path: str) -> SemigroupSet:

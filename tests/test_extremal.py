@@ -1,11 +1,14 @@
 """Tests for the ξ/α arithmetic and the extremal-semigroup builders."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from commsemi.extremal import (
     _check_null_shape,
+    _null_maps,
     abelian_witness,
     burns_goldsmith_order,
     e_ix,
@@ -19,7 +22,37 @@ from commsemi.extremal import (
     xi_table,
 )
 from commsemi.semigroups import SemigroupSet, idempotents, is_group, is_null, unique_idempotent
+from commsemi.serialization import semigroup_digest
 from commsemi.transform import PartialTransformation, Transformation, _raw, product
+
+def loop_null_maps(cls, n, points):
+    """The null maps as the builders made them with a loop: one product over
+    the free points' values, written into one image list, in that order."""
+    pts = list(points)
+    free = [y for y in range(n) if y not in pts]
+    img = [pts[0]] * n
+    out = []
+    for choice in itertools.product(pts, repeat=len(free)):
+        for y, v in zip(free, choice):
+            img[y] = v
+        out.append(_raw(cls, bytes(img)))
+    return out
+
+
+def loop_null_shape(elems, points):
+    """The null-shape certificate element by element, as a reference."""
+    x1 = points[0]
+    pts = frozenset(points)
+    for a in elems:
+        img = a.img + bytes([len(a.img)])
+        if any(img[p] != x1 for p in points) or not pts.issuperset(a.img):
+            return a
+    return None
+
+
+def sorted_imgs(elems):
+    return [a.img for a in sorted(elems, key=lambda a: a.img)]
+
 
 # (n, alpha, xi) for n = 1..20, frozen.
 XI_TABLE_20 = [
@@ -162,6 +195,80 @@ class TestNullBuilders:
             null_semigroup(4, [1, 4])
 
 
+class TestNullMapsMatchTheLoop:
+    """The null builders take their maps from one itertools.product over
+    per-point slots; they must equal the loop, element by element and in
+    order, and so must every set and digest built from them."""
+
+    def test_every_base_tuple_up_to_degree_6(self):
+        for n in range(1, 7):
+            alpha = xi_alpha(n).alpha
+            for t in range(1, n + 1):
+                for pts in itertools.permutations(range(n), t):
+                    loop = loop_null_maps(Transformation, n, pts)
+                    assert _null_maps(Transformation, n, pts) == loop, (n, pts)
+                    assert [a.img for a in null_semigroup(n, pts)] == sorted_imgs(loop)
+                    if t == alpha:
+                        assert [a.img for a in null_max(n, pts)] == sorted_imgs(loop)
+                        if n >= 2:
+                            with_id = [*loop, Transformation.identity(n)]
+                            assert [a.img for a in null_plus_identity(n, pts)] == sorted_imgs(
+                                with_id
+                            )
+
+    def test_every_partial_base_tuple_up_to_degree_6(self):
+        # ⊥ = n is a point only as x₁; the shape without ⊥ is built too
+        for n in range(1, 7):
+            b_size = xi_alpha(n + 1).alpha - 1
+            for t in range(0, n + 1):
+                for bs in itertools.permutations(range(n), t):
+                    for pts in [(n, *bs)] + ([bs] if bs else []):
+                        loop = loop_null_maps(PartialTransformation, n, pts)
+                        assert _null_maps(PartialTransformation, n, pts) == loop, (n, pts)
+                    if t == b_size and list(bs) == sorted(bs):
+                        loop = loop_null_maps(PartialTransformation, n, (n, *bs))
+                        assert [a.img for a in omega_pn(n, bs)] == sorted_imgs(loop)
+
+    def test_seeded_base_tuples_up_to_degree_12(self):
+        rng = random.Random(2024)
+        for n in range(7, 13):
+            pts = rng.sample(range(n), xi_alpha(n).alpha)
+            loop = loop_null_maps(Transformation, n, pts)
+            assert _null_maps(Transformation, n, pts) == loop, (n, pts)
+            assert [a.img for a in null_max(n, pts)] == sorted_imgs(loop)
+            if n <= 10:
+                B = rng.sample(range(n), xi_alpha(n + 1).alpha - 1)
+                loop = loop_null_maps(PartialTransformation, n, [n, *sorted(B)])
+                assert [a.img for a in omega_pn(n, B)] == sorted_imgs(loop)
+                short = rng.sample(range(n), 2)
+                for cls, tup in ((Transformation, short), (PartialTransformation, [n, *short])):
+                    assert _null_maps(cls, n, tup) == loop_null_maps(cls, n, tup), (n, tup)
+
+    def test_builder_digests_pinned(self):
+        # canonical-JSON digests of the builders' outputs, fixed before the
+        # builders and the writer moved to whole-image bytes
+        digests = []
+        for n in range(1, 13):
+            digests.append(semigroup_digest(null_max(n)))
+            if n >= 2:
+                digests.append(semigroup_digest(null_plus_identity(n)))
+            if n <= 10:
+                B = range(xi_alpha(n + 1).alpha - 1)
+                digests.append(semigroup_digest(omega_pn(n, B)))
+        for n in range(1, 7):
+            for pts in itertools.permutations(range(n), xi_alpha(n).alpha):
+                digests.append(semigroup_digest(null_max(n, pts)))
+                if n >= 2:
+                    digests.append(semigroup_digest(null_plus_identity(n, pts)))
+            for B in itertools.combinations(range(n), xi_alpha(n + 1).alpha - 1):
+                digests.append(semigroup_digest(omega_pn(n, B)))
+        assert len(digests) == 471
+        assert (
+            hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+            == "c7ff02392b0c1353c6f5d03c3b85d972a6c041de6de15ee315db104cbe4bb63c"
+        )
+
+
 class TestOmega:
     def test_frozen_degree_3(self):
         S = omega_pn(3, [0])
@@ -219,6 +326,41 @@ class TestNullShapeCertificate:
         assert _check_null_shape(null_max(6, [4, 1, 2]), [4, 1, 2]) is None
         assert _check_null_shape(omega_pn(5, [1, 3]), [5, 1, 3]) is None
 
+    def test_one_bad_element_last_of_xi_10_full_maps(self):
+        pts = [7, 2, 9, 0]  # ξ(10) = 4^6 maps
+        elems = list(null_max(10, pts))
+        assert len(elems) == 4096 and _check_null_shape(elems, pts) is None
+        good = list(elems[-1].img)
+        # base points 2 and 0 sent off x₁, free points 5 and 1 sent off the points
+        for y, v in ((2, 9), (0, 2), (5, 3), (1, 1)):
+            img = list(good)
+            img[y] = v
+            bad = Transformation(img)
+            assert _check_null_shape([*elems, bad], pts) is bad
+            assert _check_null_shape([*elems[:100], bad, *elems[100:]], pts) is bad
+        # another degree: judged element by element, as the reference does
+        for other in (_raw(Transformation, bytes([7] * 11)), _raw(Transformation, bytes([5] * 9))):
+            mixed = [*elems, other]
+            assert _check_null_shape(mixed, pts) is loop_null_shape(mixed, pts)
+        # ⊥ = 10 as a later point: every map fixes ⊥, so the first map fails
+        assert _check_null_shape(elems, [*pts, 10]) is elems[0]
+
+    def test_one_bad_element_last_of_xi_10_partial_maps(self):
+        B = [1, 4, 6]  # Ω(B) at degree 9 has ξ(10) = 4^6 maps
+        elems = list(omega_pn(9, B))
+        pts = [9, *B]
+        assert len(elems) == 4096 and _check_null_shape(elems, pts) is None
+        good = list(elems[-1].img)
+        for y, v in ((4, 1), (6, 6), (0, 0), (8, 2)):  # defined on B, or an image off B
+            img = list(good)
+            img[y] = v
+            bad = _raw(PartialTransformation, bytes(img))
+            assert _check_null_shape([*elems, bad], pts) is bad
+        # ⊥ given as a non-first point: no map sends ⊥ anywhere but ⊥
+        for later in ([1, 9, 4, 6], [1, 4, 6, 9]):
+            assert _check_null_shape(elems, later) is elems[0]
+            assert loop_null_shape(elems, later) is elems[0]
+
     def test_certified_sets_are_null(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -246,6 +388,7 @@ class TestNullShapeCertificate:
         def prop(case):
             cls, n, points, elems = case
             bad = _check_null_shape(elems, points)
+            assert bad is loop_null_shape(elems, points)
             if bad is None:
                 zero = _raw(cls, bytes([points[0]]) * n)
                 assert all(product(a, b) == zero for a in elems for b in elems)

@@ -9,6 +9,7 @@ from commsemi.semigroups import (
     MAX_SYM_DEGREE,
     ClosureLimitExceeded,
     SemigroupSet,
+    _closure_images,
     center,
     classify_small_abelian_group,
     closure,
@@ -100,6 +101,57 @@ class TestSemigroupSet:
         assert not T.is_closed()
 
 
+def pairwise_closed(S):
+    """Every product ab of two elements lies in S, by object products."""
+    members = set(S.elements)
+    return all(a * b in members for a in S.elements for b in S.elements)
+
+
+def pairwise_commutative(S):
+    """ab = ba for every pair of elements, by object products."""
+    return all(a * b == b * a for a in S.elements for b in S.elements)
+
+
+class TestPredicatesOnImageBytes:
+    """is_closed and is_commutative test pairs on image bytes; both must agree
+    with an object-level loop over every pair, on sets without cached flags."""
+
+    @staticmethod
+    def cases():
+        yield SemigroupSet(enumerate_full(3).elements)
+        yield SemigroupSet(enumerate_partial(3).elements)
+        rng = random.Random(11)
+        for cls, n, values in (
+            (Transformation, 3, [0, 1, 2]),
+            (Transformation, 4, [0, 1, 2, 3]),
+            (PartialTransformation, 3, [0, 1, 2, None]),
+            (PartialTransformation, 4, [0, 1, 2, 3, None]),
+        ):
+            for _ in range(40):
+                gens = [cls(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+                S = closure(gens)
+                yield SemigroupSet(S.elements)  # closed; commutative or not
+                kept = [a for a in S.elements if rng.random() < 0.7] or [S[0]]
+                yield SemigroupSet(kept)  # often not closed
+                stray = cls(rng.choice(values) for _ in range(n))
+                yield SemigroupSet([*S.elements, stray])  # one element breaks it, or none
+
+    def test_match_the_object_level_pair_loops(self):
+        seen = set()
+        for S in self.cases():
+            closed, commutative = S.is_closed(), S.is_commutative()
+            assert closed == pairwise_closed(S), S.elements
+            assert commutative == pairwise_commutative(S), S.elements
+            seen.add((S.kind, closed, commutative))
+        # every outcome of both predicates occurs for both kinds
+        assert seen == {
+            (kind, closed, comm)
+            for kind in ("full", "partial")
+            for closed in (False, True)
+            for comm in (False, True)
+        }
+
+
 class TestClosure:
     def test_cyclic_c3(self):
         S = closure([Transformation([1, 2, 0])])
@@ -136,6 +188,22 @@ class TestClosure:
             expected = brute_closure(gens, lambda a, b: a * b)
             assert set(S.elements) == expected
             assert S.kind == ("partial" if cls is PartialTransformation else "full")
+
+    def test_sampler_kernel_matches_closure(self):
+        # the unique-idempotent sampler calls the image kernel directly
+        rng = random.Random(21)
+        for _ in range(200):
+            cls = rng.choice([Transformation, PartialTransformation])
+            n = rng.randint(2, 6)
+            values = [*range(n), None] if cls is PartialTransformation else list(range(n))
+            gens = [cls(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            distinct = [g.img for g in dict.fromkeys(gens)]
+            imgs = _closure_images(distinct, None)
+            assert len(imgs) == len(set(imgs))
+            assert [a.img for a in closure(gens)] == sorted(imgs)
+            with pytest.raises(ClosureLimitExceeded):
+                _closure_images(distinct, len(imgs) - 1)
+            assert _closure_images(distinct, len(imgs)) == imgs
 
     def test_limit_raises_exactly_above_the_size(self):
         rng = random.Random(5)

@@ -156,6 +156,56 @@ class TestSerialization:
             load_semigroup(obj)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("full", True, "element 4095: image True out of range 0..9"),
+            ("full", 1.0, "element 4095: image 1.0 out of range 0..9"),
+            ("full", -1, "element 4095: image -1 out of range 0..9"),
+            ("full", 10, "element 4095: image 10 out of range 0..9"),
+            ("full", None, "element 4095: null image in a full map"),
+            ("partial", True, "element 4095: image True out of range 0..8"),
+            ("partial", 1.0, "element 4095: image 1.0 out of range 0..8"),
+            ("partial", -1, "element 4095: image -1 out of range 0..8"),
+            ("partial", 9, "element 4095: image 9 out of range 0..8"),  # the sentinel
+        ],
+    )
+    def test_bad_value_in_the_last_row_of_a_large_file(self, kind, bad, message):
+        # ξ(10) = 4096 rows, checked all at once; the message names the row
+        S = null_max(10) if kind == "full" else omega_pn(9, [1, 4, 6])
+        obj = json.loads(dumps_semigroup(S))
+        assert len(obj["elements"]) == 4096
+        obj["elements"][-1][-1] = bad
+        with pytest.raises(ValueError) as err:
+            load_semigroup(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    @pytest.mark.parametrize(
+        "row", [[0, 0], "0000000000", None, {"0": 0}], ids=["short", "text", "null", "object"]
+    )
+    def test_bad_last_row_of_a_large_file(self, kind, row):
+        S = null_max(10) if kind == "full" else omega_pn(9, [1, 4, 6])
+        obj = json.loads(dumps_semigroup(S))
+        obj["elements"][-1] = row
+        with pytest.raises(ValueError) as err:
+            load_semigroup(obj)
+        n = S.degree
+        assert str(err.value) == f"element 4095 must be a list of {n} images"
+        obj["elements"][7] = [0] * (n + 1)  # an earlier bad row is named first
+        with pytest.raises(ValueError, match=f"^element 7 must be a list of {n} images$"):
+            load_semigroup(obj)
+
+    def test_int_subclass_rows_load(self):
+        class Point(int):
+            pass
+
+        for S in (null_max(5), omega_pn(4, [0, 2])):
+            obj = json.loads(dumps_semigroup(S))
+            row = obj["elements"][-1]
+            obj["elements"][-1] = [v if v is None else Point(v) for v in row]
+            assert load_semigroup(obj) == S
+
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -87,27 +87,22 @@ def _check_null_shape(elems: Iterable, points: Sequence[int]) -> AnyTransformati
     null without looping over pairs.  ⊥ = n counts as a point that every
     map fixes, so Ω(B) is the shape on (⊥, *B).
 
-    The whole set is checked in C; only a failure walks it element by
-    element, to name the first bad one.
+    The whole set is checked in C by :func:`_in_null_shape`; only a failure
+    applies the same rule to one element at a time, to name the first bad one.
     """
     elems = list(elems)
     if _in_null_shape(list(map(_IMG, elems)), points):
         return None
-    x1 = points[0]
-    pts = frozenset(points)
-    for a in elems:
-        img = a.img + bytes([len(a.img)])
-        if any(img[p] != x1 for p in points) or not pts.issuperset(a.img):
-            return a
-    return None
+    return next((a for a in elems if not _in_null_shape([a.img], points)), None)
 
 
 def _in_null_shape(imgs: list[bytes], points: Sequence[int]) -> bool:
     """True if every image is in the null shape on ``points``, checked in C.
 
-    False means some image is outside it, or that this check cannot decide
-    (mixed degrees, a point out of range); the caller then looks element by
-    element.
+    Every image must have the degree n of the first, with the points in
+    0..n.  A set of mixed degrees is False as a whole, and a point out of
+    range makes an image False; the caller then asks about one image at a
+    time, so each is judged at its own degree.
     """
     x1 = points[0]
     if not imgs:

@@ -39,6 +39,7 @@ _PRINT_LIMIT = 64
 # Each closure, commute or center check costs |S|² products (about 9 s of CPU
 # at 4,096 maps), so the file commands refuse a larger set instead of hanging.
 _MAX_FILE_ELEMENTS = 4096
+_MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K; verify searches up to 4
 
 # ``construct`` refuses a degree whose set would pass _MAX_CONSTRUCT_ELEMENTS
 # (about 1 s to build and write), and ``xi`` a table over _MAX_XI_ROWS rows
@@ -226,6 +227,8 @@ def _cmd_nullify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if args.knit is not None and args.knit > _MAX_KNIT_LENGTH:
+        raise ValueError(f"graph --knit is capped at {_MAX_KNIT_LENGTH}, got {args.knit}")
     S = _load(args.file)
     g = graphs.build(S)
     print(f"vertices: {g.vertex_count}")

@@ -13,19 +13,20 @@ every one (:func:`max_clique_bits`).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroups import SemigroupSet, center
-from .transform import product
+from .semigroups import SemigroupSet, _commutes_with, center
+from .transform import _FILL, product
 
 INFINITY = math.inf
 
 _HEADER = struct.Struct("<BBxxI")  # degree, kind code, pad, vertex count
 _KIND_CODE = {"full": 0, "partial": 1}
-_KIND_NAME = {0: "full", 1: "partial"}
 
 
 @dataclass
@@ -337,34 +338,33 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
             "commutative input has an empty commuting graph (every element is central)"
         )
     elems = S.elements
+    imgs = [a.img for a in elems]
+    fill = _FILL[S.degree]
+
+    def commuters(i: int):
+        # tables are made as they are read: one per element of a whole T6
+        # would hold 12 MB, and a search reads a few of them
+        x = imgs[i]
+        return _commutes_with(x, x + fill, imgs, map(operator.add, imgs, itertools.repeat(fill)))
+
     central_memo: dict[int, bool] = {}
 
     def central(i: int) -> bool:
         if i not in central_memo:
-            a = elems[i]
-            central_memo[i] = all(product(a, b) == product(b, a) for b in elems)
+            central_memo[i] = all(commuters(i))
         return central_memo[i]
 
-    commute_memo: dict[tuple[int, int], bool] = {}
-
-    def commute(i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        if key not in commute_memo:
-            a, b = elems[key[0]], elems[key[1]]
-            commute_memo[key] = product(a, b) == product(b, a)
-        return commute_memo[key]
-
     def steps(path: list[int]):
-        tail = path[-1]
         return (
             j
-            for j in range(len(elems))
-            if j not in path and not central(j) and commute(tail, j)
+            for j in itertools.compress(range(len(imgs)), commuters(path[-1]))
+            if j not in path and not central(j)
         )
 
     def is_left_path(path: list[int]) -> bool:
-        first, last = elems[path[0]], elems[path[-1]]
-        return all(product(first, elems[i]) == product(last, elems[i]) for i in path)
+        first, last = imgs[path[0]], imgs[path[-1]]
+        tables = [imgs[i] + fill for i in path]
+        return list(map(first.translate, tables)) == list(map(last.translate, tables))
 
     for length in range(1, max_len + 1):
         for start in range(len(elems)):
@@ -430,22 +430,3 @@ def write_adjacency(g: CommGraph, path: str) -> None:
         for row in g.adj:
             fh.write(row.to_bytes(row_bytes, "little"))
 
-
-def read_adjacency(path: str) -> tuple[int, str, int, list[int]]:
-    """Inverse of write_adjacency: (degree, kind, vertex count, bitset rows)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError("adjacency file too short for its header")
-    degree, kind_code, n = _HEADER.unpack_from(blob)
-    if kind_code not in _KIND_NAME:
-        raise ValueError(f"unknown kind code {kind_code}")
-    row_bytes = (n + 7) // 8
-    expected = _HEADER.size + n * row_bytes
-    if len(blob) != expected:
-        raise ValueError(f"adjacency file has {len(blob)} bytes, expected {expected}")
-    rows = []
-    for v in range(n):
-        off = _HEADER.size + v * row_bytes
-        rows.append(int.from_bytes(blob[off : off + row_bytes], "little"))
-    return degree, _KIND_NAME[kind_code], n, rows

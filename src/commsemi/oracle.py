@@ -51,6 +51,8 @@ from .semigroups import (
     SemigroupSet,
     _all_commute,
     _closure_images,
+    _commutes_with,
+    _images_and_tables,
     classify_small_abelian_group,
     enumerate_full,
     enumerate_partial,
@@ -115,21 +117,25 @@ def _checked_set(elements, *, context: str) -> SemigroupSet:
 
     This is the soundness check behind every reduction: a maximum clique
     (plus whatever central/absorbing elements the claim adds) must be a
-    commutative subsemigroup.  A failure dumps the offending pair.
+    commutative subsemigroup.  A failure names the first offending pair.
     """
     T = SemigroupSet(elements)
     _stats["checks"] += 1
-    members = set(T.elements)
-    for a in T:
-        for b in T:
-            ab, ba = product(a, b), product(b, a)
-            if ab != ba or ab not in members:
-                _stats["violations"] += 1
-                raise RuntimeError(
-                    f"closure check failed in {context}: a={a!r} b={b!r} "
-                    f"ab={ab!r} ba={ba!r} member={ab in members}"
-                )
-    return SemigroupSet(T.elements, closed=True, commutative=True)
+    if T.is_closed() and T.is_commutative():
+        return T
+    _stats["violations"] += 1
+    imgs, tables = _images_and_tables(T)
+    members = set(imgs)
+    a, b, ab = next(
+        (a, b, ab)
+        for a, x, t in zip(T, imgs, tables)
+        for b, commutes, ab in zip(T, _commutes_with(x, t, imgs, tables), map(x.translate, tables))
+        if not commutes or ab not in members
+    )
+    raise RuntimeError(
+        f"closure check failed in {context}: a={a!r} b={b!r} "
+        f"ab={product(a, b)!r} ba={product(b, a)!r} member={ab in members}"
+    )
 
 
 def _check_degree(claim: str, n: int, kind: str) -> None:

@@ -145,11 +145,22 @@ def _images_and_tables(S: SemigroupSet) -> tuple[list[bytes], list[bytes]]:
     return imgs, [img + fill for img in imgs]
 
 
+def _commutes_with(
+    x: bytes, tx: bytes, imgs: Iterable[bytes], tables: Iterable[bytes]
+) -> Iterator[bool]:
+    """For each image y of ``imgs`` in turn, whether xy = yx: lazily, in C.
+
+    ``tx`` is x's table and ``tables`` yields each y's, as above, so
+    ``x.translate(t_y)`` is xy and ``y.translate(t_x)`` is yx.
+    """
+    xys = map(x.translate, tables)
+    return map(operator.eq, xys, map(bytes.translate, imgs, itertools.repeat(tx)))
+
+
 def _all_commute(imgs: list[bytes], tables: list[bytes]) -> bool:
     """True iff ab = ba for all images a, b of one degree (tables as above)."""
     return all(
-        list(map(a.translate, tables[i + 1 :]))  # a·b for every later b
-        == list(map(bytes.translate, imgs[i + 1 :], itertools.repeat(t)))  # b·a
+        all(_commutes_with(a, t, imgs[i + 1 :], tables[i + 1 :]))
         for i, (a, t) in enumerate(zip(imgs, tables))
     )
 
@@ -211,7 +222,9 @@ def center(S: SemigroupSet) -> tuple[AnyTransformation, ...]:
     A tuple rather than a SemigroupSet, since the center may be empty.
     """
     _require_closed(S, "center")
-    return tuple(a for a in S if all(compose(a, b) == compose(b, a) for b in S))
+    imgs, tables = _images_and_tables(S)
+    central = (all(_commutes_with(x, t, imgs, tables)) for x, t in zip(imgs, tables))
+    return tuple(itertools.compress(S, central))
 
 
 def idempotents(S: SemigroupSet) -> list[AnyTransformation]:

@@ -113,9 +113,6 @@ class Transformation(_Map):
     def rank(self) -> int:
         return len(set(self.img))
 
-    def is_permutation(self) -> bool:
-        return len(set(self.img)) == self.degree
-
 
 class PartialTransformation(_Map):
     """A partial self-map of {0, ..., n-1}.
@@ -142,11 +139,6 @@ class PartialTransformation(_Map):
     def identity(cls, n: int) -> "PartialTransformation":
         return cls(range(n))
 
-    @classmethod
-    def identity_on(cls, n: int, dom: Iterable[int]) -> "PartialTransformation":
-        dom = set(dom)
-        return cls([x if x in dom else None for x in range(n)])
-
     def domain(self) -> tuple[int, ...]:
         n = self.degree
         return tuple(x for x, v in enumerate(self.img) if v != n)
@@ -157,10 +149,6 @@ class PartialTransformation(_Map):
 
     def rank(self) -> int:
         return len(self.image())
-
-    def is_empty(self) -> bool:
-        n = self.degree
-        return all(v == n for v in self.img)
 
     def __call__(self, x: int) -> int | None:
         v = self.img[x]

@@ -419,7 +419,7 @@ class TestEIX:
         for a in S:
             for b in S:
                 dom = set(a.domain()) & set(b.domain())
-                assert a * b == PartialTransformation.identity_on(n, dom)
+                assert a * b == PartialTransformation([x if x in dom else None for x in range(n)])
 
 
 class TestAbelian:
@@ -452,7 +452,7 @@ class TestAbelian:
             # built without a closure: recheck on a copy without its flags
             T = SemigroupSet(S.elements)
             assert T.is_closed() and T.is_commutative()
-            assert all(a.is_permutation() for a in S)
+            assert all(len(set(a.img)) == n for a in S)
 
 
 class TestNullPlusIdentity:

@@ -3,6 +3,8 @@
 import gc
 import math
 import random
+import struct
+from collections import Counter
 
 import pytest
 
@@ -20,14 +22,15 @@ from commsemi.graphs import (
     knit_degree,
     max_clique,
     max_clique_bits,
-    read_adjacency,
     shortest_left_path,
     write_adjacency,
 )
 from commsemi.oracle import max_commutative, max_null
 from commsemi.serialization import write_semigroup_file
 from commsemi.semigroups import (
+    ClosureLimitExceeded,
     SemigroupSet,
+    closure,
     enumerate_full,
     enumerate_partial,
     enumerate_sym,
@@ -539,6 +542,52 @@ class TestGirth:
         assert girth(build(enumerate_partial(3))) == 3
 
 
+def definition_knit_degree(S, max_len):
+    """Knit degree by the definition (Araújo, Kinyon & Konieczny 2011), by brute force.
+
+    The fewest edges of a path a₁ – … – aₘ of distinct non-central elements,
+    each commuting with the next, with a₁·aᵢ = aₘ·aᵢ for every i.  Every
+    simple path of 1, 2, … edges is tried, with object-level products.
+    """
+    elems = list(S)
+    verts = [a for a in elems if any(a * b != b * a for b in elems)]
+    adj = {a: [b for b in verts if b != a and a * b == b * a] for a in verts}
+
+    def paths(path, edges):
+        if len(path) == edges + 1:
+            yield path
+            return
+        for b in adj[path[-1]]:
+            if b not in path:
+                yield from paths(path + [b], edges)
+
+    for edges in range(1, max_len + 1):
+        for a in verts:
+            for p in paths([a], edges):
+                if all(p[0] * c == p[-1] * c for c in p):
+                    return edges
+    return None
+
+
+def random_closures(seed, count, limit):
+    """Seeded non-commutative closures of 2–3 random maps, degree 3–4, both kinds."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.choice((3, 4))
+        if rng.random() < 0.5:
+            gens = [Transformation([rng.randrange(n) for _ in range(n)]) for _ in range(3)]
+        else:
+            points = [None, *range(n)]
+            gens = [PartialTransformation([rng.choice(points) for _ in range(n)]) for _ in range(3)]
+        try:
+            S = closure(gens[: rng.randint(2, 3)], limit=limit)
+        except ClosureLimitExceeded:
+            continue
+        if not S.is_commutative():
+            count -= 1
+            yield S
+
+
 class TestLeftPaths:
     def test_none_at_degree_2(self):
         assert shortest_left_path(enumerate_full(2), max_len=4) is None
@@ -570,10 +619,60 @@ class TestLeftPaths:
         with pytest.raises(ValueError):
             shortest_left_path(gamma(4, 0))
 
+    def test_against_the_definition(self):
+        kinds = Counter()
+        for S in random_closures(2024, 400, 60):
+            path = shortest_left_path(S, max_len=4)
+            expected = definition_knit_degree(S, 4)
+            assert (None if path is None else len(path) - 1) == expected
+            if path is not None:
+                assert len(set(path)) == len(path)
+                assert all(any(a * b != b * a for b in S) for a in path)
+                assert all(a * b == b * a for a, b in zip(path, path[1:]))
+                assert all(path[0] * a == path[-1] * a for a in path)
+            kinds[S.kind, expected] += 1
+        # the sample reaches both kinds, with and without a left path
+        assert set(kinds) >= {("full", 1), ("partial", 1), ("full", None), ("partial", None)}
+
+    def test_knit_degree_2(self):
+        full = closure([Transformation(img) for img in ([0, 0, 0], [2, 2, 1], [0, 0, 2])])
+        partial = closure(
+            [PartialTransformation(img) for img in ([0, 1, 0], [1, 2, 1], [1, 1, 1])]
+        )
+        for S in (full, partial):
+            assert len(S) == 7
+            assert shortest_left_path(S, max_len=1) is None
+            assert knit_degree(S, max_len=4) == definition_knit_degree(S, 4) == 2
+        assert shortest_left_path(full) == [
+            Transformation([0, 0, 2]),
+            Transformation([2, 2, 2]),
+            Transformation([1, 1, 2]),
+        ]
+        assert shortest_left_path(partial) == [
+            PartialTransformation([0, 1, 0]),
+            PartialTransformation([1, 1, 1]),
+            PartialTransformation([2, 1, 2]),
+        ]
+
     def test_rejects_empty_length_range(self):
         for max_len in (0, -3):
             with pytest.raises(ValueError, match="at least 1"):
                 knit_degree(enumerate_full(3), max_len=max_len)
+
+
+def read_adjacency_file(path):
+    """The ``write_adjacency`` layout: an ``<BBxxI`` header (degree, kind
+    code, vertex count), then one little-endian row of ⌈n/8⌉ bytes each."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    degree, kind_code, n = struct.unpack_from("<BBxxI", blob)
+    row_bytes = (n + 7) // 8
+    assert len(blob) == 8 + n * row_bytes
+    rows = [
+        int.from_bytes(blob[8 + v * row_bytes : 8 + (v + 1) * row_bytes], "little")
+        for v in range(n)
+    ]
+    return degree, kind_code, n, rows
 
 
 class TestSerialization:
@@ -581,30 +680,10 @@ class TestSerialization:
         g = build(enumerate_full(3))
         path = str(tmp_path / "t3.adj")
         write_adjacency(g, path)
-        degree, kind, n, rows = read_adjacency(path)
-        assert (degree, kind, n) == (3, "full", 26)
-        assert rows == g.adj
-
-    def test_bad_files(self, tmp_path):
-        short = tmp_path / "short.adj"
-        short.write_bytes(b"\x03")
-        with pytest.raises(ValueError):
-            read_adjacency(str(short))
-
-        g = build(enumerate_full(2))
-        good = tmp_path / "good.adj"
-        write_adjacency(g, str(good))
-        blob = good.read_bytes()
-
-        bad_kind = tmp_path / "kind.adj"
-        bad_kind.write_bytes(blob[:1] + b"\x07" + blob[2:])
-        with pytest.raises(ValueError):
-            read_adjacency(str(bad_kind))
-
-        truncated = tmp_path / "trunc.adj"
-        truncated.write_bytes(blob[:-1])
-        with pytest.raises(ValueError):
-            read_adjacency(str(truncated))
+        assert read_adjacency_file(path) == (3, 0, 26, g.adj)
+        g = build(enumerate_partial(2))
+        write_adjacency(g, path)
+        assert read_adjacency_file(path) == (2, 1, 7, g.adj)
 
     def test_dot_output(self):
         g = build(enumerate_partial(2))

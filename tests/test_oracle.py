@@ -10,6 +10,7 @@ import pytest
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
 from commsemi.oracle import (
     ABELIAN_ORDERS,
+    _checked_set,
     _tag_commutative,
     _tag_null,
     closure_check_stats,
@@ -498,6 +499,36 @@ class TestClosureStats:
             reset_closure_stats()
             r = search(n, kind)
             assert closure_check_stats() == {"checks": len(r.maximizers), "violations": 0}
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            (
+                [Transformation([1, 1, 1]), Transformation([0, 0, 0])],
+                "a=Transformation([0, 0, 0]) b=Transformation([1, 1, 1]) "
+                "ab=Transformation([1, 1, 1]) ba=Transformation([0, 0, 0]) member=True",
+            ),
+            (
+                [Transformation([1, 0, 2])],
+                "a=Transformation([1, 0, 2]) b=Transformation([1, 0, 2]) "
+                "ab=Transformation([0, 1, 2]) ba=Transformation([0, 1, 2]) member=False",
+            ),
+            (
+                [PartialTransformation([0, None]), PartialTransformation([None, 1]),
+                 PartialTransformation([0, 1])],
+                "a=PartialTransformation([0, None]) b=PartialTransformation([None, 1]) "
+                "ab=PartialTransformation([None, None]) ba=PartialTransformation([None, None]) "
+                "member=False",
+            ),
+        ],
+        ids=["not-commuting", "not-closed", "partial-not-closed"],
+    )
+    def test_failure_names_the_first_bad_pair(self, elements, message):
+        reset_closure_stats()
+        with pytest.raises(RuntimeError) as info:
+            _checked_set(elements, context="a test")
+        assert str(info.value) == "closure check failed in a test: " + message
+        assert closure_check_stats() == {"checks": 1, "violations": 1}
 
     def test_counting(self):
         reset_closure_stats()

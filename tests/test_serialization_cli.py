@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from commsemi.extremal import (
     xi_alpha,
     xi_table,
 )
+from commsemi.graphs import build
 from commsemi.semigroups import SemigroupSet, closure, enumerate_full
 from commsemi.serialization import (
     dumps_report,
@@ -536,10 +538,13 @@ class TestCliGraph:
         assert "girth: 3" in out
         assert "knit degree: 1 (searched lengths 1..4)" in out
         assert dot.read_text().startswith("// commuting graph:")
-        from commsemi.graphs import read_adjacency
-
-        degree, kind, count, _ = read_adjacency(str(adj))
-        assert (degree, kind, count) == (3, "full", 26)
+        # the --adj layout: an <BBxxI header (degree, kind code, vertex
+        # count), then one little-endian row of ⌈26/8⌉ = 4 bytes per vertex
+        blob = adj.read_bytes()
+        assert struct.unpack_from("<BBxxI", blob) == (3, 0, 26)
+        assert len(blob) == 8 + 26 * 4
+        rows = [int.from_bytes(blob[8 + 4 * v : 12 + 4 * v], "little") for v in range(26)]
+        assert rows == build(enumerate_full(3)).adj
 
     def test_degree_2_extremes(self, capsys, tmp_path):
         path = tmp_path / "t2.json"
@@ -548,6 +553,14 @@ class TestCliGraph:
         out = capsys.readouterr().out
         assert "girth: infinity" in out
         assert "knit degree: none (searched lengths 1..3)" in out
+
+    def test_knit_length_over_the_cap(self, capsys, t3_file):
+        # verify searches lengths up to 4; a longer search is refused before
+        # the graph is built
+        assert cli.run(["graph", t3_file, "--knit", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "vertices:" not in captured.out
+        assert "graph --knit is capped at 4, got 5" in captured.err
 
     def test_knit_length_below_one(self, capsys, t3_file):
         for k in ("0", "-3"):

@@ -36,8 +36,8 @@ from .serialization import (
 
 _PRINT_LIMIT = 64
 
-# Each closure, commute or center check costs |S|² products (about 9 s of CPU
-# at 4,096 maps), so the file commands refuse a larger set instead of hanging.
+# Each closure, commute, center, null or nilpotency check reads up to |S|² products
+# off image bytes (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
 _MAX_FILE_ELEMENTS = 4096
 _MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K; verify searches up to 4
 

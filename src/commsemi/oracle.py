@@ -289,11 +289,15 @@ def max_null(n: int, kind: str) -> OracleResult:
     S = _enumerate("null-max", n, kind)
     pools = []
     best_nilpotent = 0
+    fill = _FILL[n]
     for z, cls in _omega_classes(S).items():
-        nil = [a for a in cls if product(a, z) == z and product(z, a) == z]
-        items = [a for a in nil if product(a, a) == z]
+        # az = z = za, then a² = z, then ab = z, on image bytes as in semigroups
+        zero, tz = z.img, z.img + fill
+        nil = [a for a in cls if a.img.translate(tz) == zero == zero.translate(a.img + fill)]
+        items = [a for a in nil if a.img.translate(a.img + fill) == zero]
+        tables = [a.img + fill for a in items]
         adj = [
-            sum(1 << j for j in _bits_to_list(row) if product(a, items[j]) == z)
+            sum(1 << j for j in _bits_to_list(row) if a.img.translate(tables[j]) == zero)
             for a, row in zip(items, commuting_rows(items))
         ]
         pools.append((z, items, adj))

@@ -219,9 +219,12 @@ def _require_closed(S: SemigroupSet, op: str) -> None:
 def center(S: SemigroupSet) -> tuple[AnyTransformation, ...]:
     """Z(S): the elements commuting with everything in S, in canonical order.
 
-    A tuple rather than a SemigroupSet, since the center may be empty.
+    A tuple rather than a SemigroupSet, since the center may be empty.  A
+    commutative S is its own center, with no pair tested past that flag.
     """
     _require_closed(S, "center")
+    if S.is_commutative():
+        return S.elements
     imgs, tables = _images_and_tables(S)
     central = (all(_commutes_with(x, t, imgs, tables)) for x, t in zip(imgs, tables))
     return tuple(itertools.compress(S, central))
@@ -243,83 +246,66 @@ def unique_idempotent(S: SemigroupSet) -> AnyTransformation:
 
 
 def is_null(S: SemigroupSet) -> tuple[bool, AnyTransformation | None]:
-    """True iff every product equals one fixed element z (the zero); returns z."""
+    """True iff every product equals one fixed element z (the zero); returns z.
+
+    On image bytes: every row {a·y : y ∈ S} must be {z}, with z = S[0]².
+    """
     _require_closed(S, "is_null")
-    z = compose(S[0], S[0])
-    for a in S:
-        for b in S:
-            if compose(a, b) != z:
-                return False, None
-    return True, z
-
-
-def _find_zero(S: SemigroupSet) -> AnyTransformation | None:
-    for z in S:
-        if all(compose(z, a) == z == compose(a, z) for a in S):
-            return z
-    return None
+    imgs, tables = _images_and_tables(S)
+    z = imgs[0].translate(tables[0])
+    if all(set(map(a.translate, tables)) == {z} for a in imgs):
+        return True, _raw(type(S[0]), z)
+    return False, None
 
 
 def is_nilpotent(S: SemigroupSet) -> bool:
-    """True iff S has a zero z and S^k = {z} for some k ≤ |S|."""
+    """True iff S^k is a single element (then the zero) for some k.
+
+    An idempotent e = e^k lies in every S^k, so a nilpotent S has exactly
+    one.  Otherwise walk S ⊇ S² ⊇ …, with S^(k+1) = {p·y : p ∈ S^k, y ∈ S}
+    read off S's own tables, until it is one element or stops shrinking.
+    """
     _require_closed(S, "is_nilpotent")
-    z = _find_zero(S)
-    if z is None:
+    imgs, tables = _images_and_tables(S)
+    if sum(map(operator.eq, map(bytes.translate, imgs, tables), imgs)) != 1:
         return False
-    current = set(S.elements)
-    target = {z}
-    for _ in range(len(S)):
-        if current == target:
-            return True
-        nxt = {compose(a, b) for a in S for b in current}
-        if nxt == current:
-            return current == target
-        current = nxt
-    return current == target
+    power = set(imgs)
+    while len(power) > 1:
+        nxt: set[bytes] = set()
+        for p in power:
+            nxt.update(map(p.translate, tables))
+        if len(nxt) == len(power):  # S^(k+1) ⊆ S^k, so the chain has stopped
+            return False
+        power = nxt
+    return True
 
 
 def is_group(S: SemigroupSet) -> bool:
+    """True iff S is closed and aS = S = Sa for every a in S, on image bytes."""
     if not S.is_closed():
         return False
-    e = None
-    for cand in S:
-        if all(compose(cand, a) == a == compose(a, cand) for a in S):
-            e = cand
-            break
-    if e is None:
-        return False
-    for a in S:
-        if not any(compose(a, b) == e == compose(b, a) for b in S):
-            return False
-    return True
+    imgs, tables = _images_and_tables(S)
+    members = set(imgs)
+    return all(
+        set(map(a.translate, tables)) == members  # aS = S
+        and set(map(bytes.translate, imgs, itertools.repeat(t))) == members  # Sa = S
+        for a, t in zip(imgs, tables)
+    )
 
 
 def classify_small_abelian_group(S: SemigroupSet) -> str:
     """Tag in {C1, C2, C3, C4, C2xC2, OTHER}.
 
-    Order-4 groups are split by maximal element order (4 → C4, else C2xC2).
-    Anything that is not an abelian group of order ≤ 4 is OTHER.
+    An order-4 group is C2xC2 iff all its squares are equal (to the
+    identity), else C4.  Anything that is not an abelian group of order ≤ 4
+    is OTHER.
     """
     if not is_group(S) or not S.is_commutative():
         return "OTHER"
-    order = len(S)
-    if order == 1:
-        return "C1"
-    if order == 2:
-        return "C2"
-    if order == 3:
-        return "C3"
-    if order == 4:
-        e = next(c for c in S if all(compose(c, a) == a for a in S))
-        max_order = 1
-        for a in S:
-            p, k = a, 1
-            while p != e:
-                p = compose(p, a)
-                k += 1
-            max_order = max(max_order, k)
-        return "C4" if max_order == 4 else "C2xC2"
-    return "OTHER"
+    if len(S) == 4:
+        squares = set(map(bytes.translate, *_images_and_tables(S)))
+        return "C2xC2" if len(squares) == 1 else "C4"
+    return {1: "C1", 2: "C2", 3: "C3"}.get(len(S), "OTHER")
 
 
 def enumerate_full(n: int) -> SemigroupSet:

@@ -1,5 +1,5 @@
 """Hypothesis properties of the element product, the embedding of partial
-maps and the canonical JSON form, on both kinds.
+maps, the canonical JSON form and the structure predicates, on both kinds.
 
 Each test skips where hypothesis is not installed.
 """
@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from commsemi.semigroups import SemigroupSet
+from commsemi.semigroups import SemigroupSet, closure, idempotents, is_group, is_nilpotent, is_null
 from commsemi.serialization import dumps_semigroup, load_semigroup
 from commsemi.transform import PartialTransformation, Transformation, embed_partial, product
 
@@ -92,3 +92,28 @@ def test_canonical_json_round_trips():
         assert dumps_semigroup(T) == text
 
     prop()
+
+
+def test_structure_predicates_imply_their_idempotents():
+    # null ⇒ nilpotent; nilpotent ⇒ one idempotent, the zero; group ⇒ one idempotent
+    hypothesis, maps = hypothesis_and_maps()
+    seen = set()
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps())
+    def prop(case):
+        S = closure(case[2])
+        es = idempotents(S)
+        null, nilpotent, group = is_null(S)[0], is_nilpotent(S), is_group(S)
+        assert nilpotent or not null
+        if nilpotent:
+            (z,) = es
+            assert all(z * a == z == a * z for a in S)
+        if group:
+            assert len(es) == 1
+        flags = {"null": null, "nilpotent": nilpotent, "group": group}
+        seen.update((name, len(S) > 1) for name, flag in flags.items() if flag)
+
+    prop()
+    # no implication holds only because its premise never occurs on a set of 2+
+    assert {(name, True) for name in ("null", "nilpotent", "group")} <= seen, seen

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from commsemi.extremal import abelian_witness, e_ix, null_max, omega_pn, xi_alpha
 from commsemi.semigroups import (
     MAX_FULL_DEGREE,
     MAX_PARTIAL_DEGREE,
@@ -150,6 +151,101 @@ class TestPredicatesOnImageBytes:
             for closed in (False, True)
             for comm in (False, True)
         }
+
+
+# Object-level references for the structure predicates: the searches for a
+# zero, an identity and inverses, and the element-order loop, by products of
+# element pairs.
+
+
+def loop_is_null(S):
+    z = S[0] * S[0]
+    if all(a * b == z for a in S for b in S):
+        return True, z
+    return False, None
+
+
+def loop_is_nilpotent(S):
+    zeros = [z for z in S if all(z * a == z == a * z for a in S)]
+    if not zeros:
+        return False
+    current, target = set(S.elements), {zeros[0]}
+    for _ in range(len(S)):
+        if current == target:
+            return True
+        nxt = {a * b for a in S for b in current}
+        if nxt == current:
+            return current == target
+        current = nxt
+    return current == target
+
+
+def loop_is_group(S):
+    if not pairwise_closed(S):
+        return False
+    es = [e for e in S if all(e * a == a == a * e for a in S)]
+    return bool(es) and all(any(a * b == es[0] == b * a for b in S) for a in S)
+
+
+def loop_classify(S):
+    if not loop_is_group(S) or not pairwise_commutative(S):
+        return "OTHER"
+    if len(S) != 4:
+        return {1: "C1", 2: "C2", 3: "C3"}.get(len(S), "OTHER")
+    e = next(c for c in S if all(c * a == a for a in S))
+    orders = []
+    for a in S:
+        p, k = a, 1
+        while p != e:
+            p, k = p * a, k + 1
+        orders.append(k)
+    return "C4" if max(orders) == 4 else "C2xC2"
+
+
+class TestStructurePredicatesOnImageBytes:
+    """is_null, is_nilpotent, is_group and classify_small_abelian_group read
+    products off image bytes by their characterisations; each must agree
+    with its object-level reference loop."""
+
+    @staticmethod
+    def cases():
+        yield from TestPredicatesOnImageBytes.cases()
+        yield closure([Transformation([1, 0, 3, 2]), Transformation([2, 3, 0, 1])])  # Klein
+        yield closure([Transformation([1, 2, 3, 0])])  # C4
+        yield enumerate_sym(3)  # a group that is not abelian
+        # right zero: ab = b, so aS = S for every a, but Sa = {a}
+        yield closure([Transformation.constant(3, x) for x in range(3)])
+        yield closure([Transformation([0, 0, 1, 2])])  # nilpotent, not null
+        for n in (4, 5, 6):
+            yield null_max(n)
+            yield omega_pn(n, list(range(xi_alpha(n + 1).alpha - 1)))
+            yield e_ix(n)
+            yield abelian_witness(n)
+
+    def test_match_the_reference_loops(self):
+        seen = set()
+        for S in self.cases():
+            group = is_group(S)
+            assert group == loop_is_group(S), S.elements
+            seen.add(("group", group))
+            if not S.is_closed():
+                continue
+            null, nilpotent, tag = is_null(S), is_nilpotent(S), classify_small_abelian_group(S)
+            assert null == loop_is_null(S), S.elements
+            assert nilpotent == loop_is_nilpotent(S), S.elements
+            assert tag == loop_classify(S), S.elements
+            seen |= {("null", null[0]), ("nilpotent", nilpotent), ("tag", tag)}
+        assert seen == {
+            *((name, flag) for name in ("group", "null", "nilpotent") for flag in (False, True)),
+            *(("tag", tag) for tag in ("C1", "C2", "C3", "C4", "C2xC2", "OTHER")),
+        }
+
+    def test_predicates_require_closed(self):
+        S = SemigroupSet([Transformation([1, 2, 0])])
+        for predicate in (is_null, is_nilpotent):
+            with pytest.raises(ValueError, match="requires a product-closed set"):
+                predicate(S)
+        assert not is_group(S)
 
 
 class TestClosure:

@@ -389,6 +389,47 @@ class TestCliAnalyze:
         assert "vertices: 3" in out
         assert "center size: 0" in out
 
+    # the null, nilpotent, group and classification lines, byte for byte
+    PINNED = {
+        "nullmax6": (
+            "degree: 6\nkind: full\nsize: 27\nclosed: True\ncommutative: True\n"
+            "idempotents: 1\nunique idempotent: 1 1 1 1 1 1\n"
+            "null: True (zero: 1 1 1 1 1 1)\nnilpotent: True\ngroup: False\n"
+            "center size: 27\nimage union: {1, 2, 3}\n"
+        ),
+        "klein": (
+            "degree: 4\nkind: full\nsize: 4\nclosed: True\ncommutative: True\n"
+            "idempotents: 1\nunique idempotent: 1 2 3 4\nnull: False\nnilpotent: False\n"
+            "group: True\nclassification: C2xC2\ncenter size: 4\nimage union: {1, 2, 3, 4}\n"
+        ),
+        "c4": (
+            "degree: 4\nkind: full\nsize: 4\nclosed: True\ncommutative: True\n"
+            "idempotents: 1\nunique idempotent: 1 2 3 4\nnull: False\nnilpotent: False\n"
+            "group: True\nclassification: C4\ncenter size: 4\nimage union: {1, 2, 3, 4}\n"
+        ),
+        "constants": (
+            "degree: 3\nkind: full\nsize: 3\nclosed: True\ncommutative: False\n"
+            "idempotents: 3\nnull: False\nnilpotent: False\ngroup: False\n"
+            "center size: 0\nimage union: {1, 2, 3}\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_report(self, capsys, tmp_path, name):
+        path = str(tmp_path / f"{name}.json")
+        if name == "nullmax6":
+            assert cli.run(["construct", "nullmax", "--n", "6", "--out", path]) == 0
+        else:
+            gens = {
+                "klein": [Transformation([1, 0, 3, 2]), Transformation([2, 3, 0, 1])],
+                "c4": [Transformation([1, 2, 3, 0])],
+                "constants": [Transformation.constant(3, x) for x in range(3)],
+            }[name]
+            write_semigroup_file(closure(gens), path)
+        capsys.readouterr()
+        assert cli.run(["analyze", path]) == 0
+        assert capsys.readouterr().out == self.PINNED[name]
+
     def test_missing_file(self, capsys):
         assert cli.run(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

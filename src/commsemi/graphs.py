@@ -4,9 +4,10 @@ The commuting graph of a non-commutative semigroup has the non-central
 elements as vertices and an edge between distinct elements that commute.
 Adjacency lives in Python-int bitsets (bit v of row u = edge u–v), which
 keeps the branch-and-bound clique search allocation-free in the hot path.
-The commuting relation is built one centralizer at a time
-(:func:`commuting_rows`), so a row costs about the size of the centralizer
-rather than the size of the pool.  One branch-and-bound, rooted in a
+The commuting relation is built bit-sliced (:func:`commuting_rows`): one
+pass over the pool makes, for every point and value, the bitset of the
+items that send that point to that value, and each row is a few big-int
+ANDs and ORs of those columns.  One branch-and-bound, rooted in a
 bucket-queue degeneracy order, finds one maximum clique or, on request,
 every one (:func:`max_clique_bits`).
 """
@@ -27,6 +28,7 @@ INFINITY = math.inf
 
 _HEADER = struct.Struct("<BBxxI")  # degree, kind code, pad, vertex count
 _KIND_CODE = {"full": 0, "partial": 1}
+_BINARY = b"0" * 256  # a translate table to "0"; with slot v set to "1" it marks value v
 
 
 @dataclass
@@ -68,77 +70,52 @@ class CliqueResult:
 def commuting_rows(items: Sequence) -> list[int]:
     """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute.
 
-    Row i is read off the centralizer of a = items[i] instead of testing
-    every pair: b commutes with a iff b(a(x)) = a(b(x)) for every point x,
-    i.e. b is an endomorphism of a's functional digraph.  b is built point
-    by point in index order; a free choice b(x) = v forces b(a(x)) = a(v)
-    along a's forward orbit, and a prefix b(0..x) survives only while some
-    item's image starts with it (a trie of the images).  A partial map is
-    walked as a full map of X ∪ {⊥} that fixes the sentinel ⊥ = n, as
-    :func:`~commsemi.transform.product` treats it, so one walk serves both
-    kinds.  All items must share one kind and degree.
+    b commutes with a iff b(a(x)) = a(b(x)) for every point x.  Read column
+    by column, with ``col[x][v]`` the bitset of the items b with b(x) = v::
+
+        row(a) = ⋀_x ⋁_v col[x][v] & col[a(x)][a(v)]
+
+    over the values v that occur in column x.  A partial map is a full map
+    of X ∪ {⊥} that fixes the sentinel ⊥ = n, as
+    :func:`~commsemi.transform.product` treats it, so ``col[n] = {n: all}``
+    and one loop serves both kinds.  Every step is a big-int AND/OR, and a
+    row stops as soon as it is empty.  All items must share one kind and
+    degree.
     """
     if not items:
         return []
     first = items[0]
+    product(first, first)  # raises, with product's message, unless the first item is a map
+    cls, n = type(first), len(first.img)
     for item in items:
-        product(first, item)  # raises on a mixed kind or degree, with product's message
-    n = len(first.img)
-    trie: list[dict[int, int]] = [{}]  # node -> {value: child}; node 0 is the root
-    leaf_bits: dict[int, int] = {}  # leaf node -> bitset of the items with that image
-    for j, item in enumerate(items):
-        node = 0
-        for v in item.img:
-            kids = trie[node]
-            if v not in kids:
-                kids[v] = len(trie)
-                trie.append({})
-            node = kids[v]
-        leaf_bits[node] = leaf_bits.get(node, 0) | 1 << j
-    b = [-1] * n + [n]  # the map being built; -1 = not yet chosen; b(⊥) = ⊥
-    trail: list[int] = []  # points assigned so far, in order, for undoing
-    return [
-        _walk(0, 0, item.img + bytes([n]), b, trail, trie, leaf_bits) & ~(1 << i)
-        for i, item in enumerate(items)
-    ]
-
-
-def _walk(
-    x: int,
-    node: int,
-    a: bytes,
-    b: list[int],
-    trail: list[int],
-    trie: list[dict[int, int]],
-    leaf_bits: dict[int, int],
-) -> int:
-    """Items in the trie below ``node`` that extend ``b`` and commute with ``a``.
-
-    ``b`` is fixed on the points before x and closed under ``a``: for each
-    assigned y, b(a(y)) = a(b(y)) is assigned too.  Returns the OR of their
-    ``leaf_bits``; ``b`` and ``trail`` are restored before returning.  (A
-    module-level function, not a closure: a recursive closure is a
-    reference cycle that would keep the trie alive until a full collection.)
-    """
-    if x == len(b) - 1:
-        return leaf_bits[node]
-    forced = b[x]
-    if forced >= 0:
-        child = trie[node].get(forced)
-        return 0 if child is None else _walk(x + 1, child, a, b, trail, trie, leaf_bits)
-    row = 0
-    for v, child in trie[node].items():
-        mark = len(trail)
-        y, val = x, v
-        while b[y] < 0:  # ends: every pass assigns one more point
-            b[y] = val
-            trail.append(y)
-            y, val = a[y], a[val]
-        if b[y] == val:
-            row |= _walk(x + 1, child, a, b, trail, trie, leaf_bits)
-        while len(trail) > mark:
-            b[trail.pop()] = -1
-    return row
+        if type(item) is not cls or len(item.img) != n:
+            product(first, item)  # raises on a mixed kind or degree, with product's message
+    everyone = (1 << len(items)) - 1
+    # item j is bit j: reversed, the first character of a column is the top bit
+    images = b"".join(item.img for item in reversed(items))
+    col = []
+    for x in range(n):
+        column = images[x::n]
+        bits = {}
+        for v in set(column):
+            # "1" where the column holds v and "0" elsewhere: a binary numeral
+            bits[v] = int(column.translate(_BINARY[:v] + b"1" + _BINARY[v + 1 :]), 2)
+        col.append(bits)
+    col.append({n: everyone})
+    rows = []
+    for i, item in enumerate(items):
+        a = item.img + bytes([n])
+        row = everyone
+        for x in range(n):
+            target = col[a[x]]
+            meet = 0
+            for v, bits in col[x].items():
+                meet |= bits & target.get(a[v], 0)
+            row &= meet
+            if not row:
+                break
+        rows.append(row & ~(1 << i))
+    return rows
 
 
 def build(S: SemigroupSet) -> CommGraph:
@@ -255,7 +232,7 @@ def _expand(
     larger clique replaces them, and a tie is appended unless ``strict`` is
     1.  After v's branch, a v adjacent to every remaining candidate ends
     the node, since a clique avoiding v could take v as well.
-    (Module-level, as :func:`_walk` is: a recursive closure is a cycle.)
+    (Module-level: a recursive closure is a reference cycle.)
     """
     nodes = 1
     order, bounds = _color_sort(P_list, adj)

@@ -1,6 +1,7 @@
 """Tests for commuting graphs, clique search, girth, and left paths."""
 
 import gc
+import hashlib
 import math
 import random
 import struct
@@ -25,7 +26,7 @@ from commsemi.graphs import (
     shortest_left_path,
     write_adjacency,
 )
-from commsemi.oracle import max_commutative, max_null
+from commsemi.oracle import _omega_classes, max_commutative, max_null
 from commsemi.serialization import write_semigroup_file
 from commsemi.semigroups import (
     ClosureLimitExceeded,
@@ -267,8 +268,48 @@ class TestBuild:
                 assert rows[i] >> j & 1 == rows[j] >> i & 1
 
 
+def rows_digest(pools):
+    """SHA-256 over the rows of each pool in turn, each row ⌈|pool|/8⌉ bytes little-endian."""
+    digest = hashlib.sha256()
+    for pool in pools:
+        width = (len(pool) + 7) // 8
+        for row in commuting_rows(pool):
+            digest.update(row.to_bytes(width, "little"))
+    return digest.hexdigest()
+
+
 class TestCommutingRows:
-    """The centralizer walk against the pair-by-pair definition."""
+    """The bit-sliced builder against the pair-by-pair definition."""
+
+    @pytest.mark.parametrize(
+        "pools, digest",
+        [
+            (
+                lambda: [enumerate_full(5).elements],
+                "5f0f08192a815274dd231c67501eb0f65995008ef2e0528ef7c8375dcd8c59da",
+            ),
+            (
+                lambda: [enumerate_partial(4).elements],
+                "b37dcab9a72ad9895ad3f7796488f425d627aab7e2911c78fc38def70179e2ff",
+            ),
+            (
+                lambda: [idempotents(enumerate_full(6))],
+                "a3093050c19501ad69493a7394cb4c2c08e27e31186c390b0207e316313fa2cf",
+            ),
+            (
+                lambda: [[a for a in enumerate_sym(6) if a != Transformation.identity(6)]],
+                "cc6baf20903296a414f59451bf098dfd2d30eb556323dfaea0f12a677cd5118e",
+            ),
+            (
+                lambda: list(_omega_classes(enumerate_full(5)).values()),
+                "e703b7629490b17778975ca1f5f65ed5040c5cc6075c315440395a51007378f3",
+            ),
+        ],
+        ids=["T5", "P4", "T6-idempotents", "Sym6-id", "T5-omega-classes"],
+    )
+    def test_rows_pinned_bit_for_bit(self, pools, digest):
+        # recorded from the image-trie walk this builder replaced
+        assert rows_digest(pools()) == digest
 
     def test_whole_monoids(self):
         for S in (enumerate_full(3), enumerate_full(4), enumerate_partial(3), enumerate_partial(4)):
@@ -312,6 +353,13 @@ class TestCommutingRows:
                 assert rows == pair_rows(pool)
                 assert sum(row.bit_count() for row in rows) > 3 * len(pool)
 
+    def test_sparse_partial_maps_of_degree_255(self):
+        # 170 maps, each defined at one of 255 points
+        S = cocktail_party_semigroup(85)
+        pool = [S.elements[i] for i in build(S).vertices]
+        assert len(pool) == 170 and pool[0].degree == 255
+        assert commuting_rows(pool) == pair_rows(pool)
+
     def test_empty_and_single(self):
         assert commuting_rows([]) == []
         assert commuting_rows([Transformation([1, 0])]) == [0]
@@ -325,6 +373,8 @@ class TestCommutingRows:
             commuting_rows([partial, full])
         with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
             commuting_rows([full, Transformation([0, 1, 2])])
+        with pytest.raises(TypeError, match="cannot multiply tuple by tuple"):
+            commuting_rows([(1, 0), full])
 
 
 class TestDegeneracyOrder:
@@ -477,6 +527,15 @@ class TestCliqueSearch:
         out = capsys.readouterr().out
         assert "vertices: 80" in out
         assert "clique number: 40" in out
+
+    def test_clique_command_on_a_file_of_degree_255(self, capsys, tmp_path):
+        # 256 maps, each defined at one point: the sparsest rows at the top degree
+        path = tmp_path / "cocktail-85.json"
+        write_semigroup_file(cocktail_party_semigroup(85), str(path))
+        assert cli.run(["graph", str(path), "--clique"]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 170" in out
+        assert "clique number: 85" in out
 
     def test_gamma_cliques_present_in_full_3(self):
         S = enumerate_full(3)
@@ -710,8 +769,19 @@ T3_ROWS = commuting_rows(enumerate_full(3).elements)
         lambda: shortest_left_path(enumerate_full(3)),
         lambda: _relabel([(0, 1, 2), (0, 1, 0), (2, 0, 1)]),
         lambda: max_null(4, "full"),
+        lambda: commuting_rows(enumerate_full(4).elements),
+        lambda: commuting_rows(enumerate_partial(3).elements),
     ],
-    ids=["max_clique_bits", "max_clique_bits_floor", "max_clique_bits_ties", "shortest_left_path", "relabel", "max_null"],
+    ids=[
+        "max_clique_bits",
+        "max_clique_bits_floor",
+        "max_clique_bits_ties",
+        "shortest_left_path",
+        "relabel",
+        "max_null",
+        "commuting_rows_T4",
+        "commuting_rows_P3",
+    ],
 )
 def test_recursive_searches_leave_no_reference_cycles(call):
     gc.collect()

@@ -1,5 +1,6 @@
 """Hypothesis properties of the element product, the embedding of partial
-maps, the canonical JSON form and the structure predicates, on both kinds.
+maps, the canonical JSON form, the structure predicates and the commuting
+relation, on both kinds.
 
 Each test skips where hypothesis is not installed.
 """
@@ -8,6 +9,7 @@ import json
 
 import pytest
 
+from commsemi.graphs import commuting_rows
 from commsemi.semigroups import SemigroupSet, closure, idempotents, is_group, is_nilpotent, is_null
 from commsemi.serialization import dumps_semigroup, load_semigroup
 from commsemi.transform import PartialTransformation, Transformation, embed_partial, product
@@ -117,3 +119,24 @@ def test_structure_predicates_imply_their_idempotents():
     prop()
     # no implication holds only because its premise never occurs on a set of 2+
     assert {(name, True) for name in ("null", "nilpotent", "group")} <= seen, seen
+
+
+def test_commuting_rows_match_the_products():
+    # a map commutes with its square and with its own repeats, so every
+    # pool has edges; the draws must also meet pairs that do not commute
+    hypothesis, maps = hypothesis_and_maps()
+    missing = []
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps())
+    def prop(case):
+        elems = case[2]
+        pool = [*elems, *(a * a for a in elems), *elems[:2]]
+        rows = commuting_rows(pool)
+        for i, a in enumerate(pool):
+            want = sum(1 << j for j, b in enumerate(pool) if j != i and a * b == b * a)
+            assert rows[i] == want
+        missing.append(len(pool) * (len(pool) - 1) - sum(row.bit_count() for row in rows))
+
+    prop()
+    assert max(missing) > 0

@@ -36,8 +36,8 @@ from .serialization import (
 
 _PRINT_LIMIT = 64
 
-# Each closure, commute, center, null or nilpotency check reads up to |S|² products
-# off image bytes (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
+# Each closure, commute, center or null check reads up to |S|² products off image
+# bytes (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
 _MAX_FILE_ELEMENTS = 4096
 _MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K; verify searches up to 4
 
@@ -67,8 +67,8 @@ def _print_set(S: SemigroupSet, out=None) -> None:
         print(f"  ({len(S)} elements; use --out FILE for the full set)", file=out)
 
 
-def _parse_points(text: str) -> list[int]:
-    """Comma-separated 1-based points → 0-based list."""
+def _parse_points(text: str, n: int, option: str) -> list[int]:
+    """Comma-separated points of 1..n → 0-based list; errors name them as typed."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty point list")
@@ -78,8 +78,8 @@ def _parse_points(text: str) -> list[int]:
             v = int(p)
         except ValueError:
             raise ValueError(f"bad point {p!r}: expected an integer") from None
-        if v < 1:
-            raise ValueError(f"points are 1-based; got {v}")
+        if not 1 <= v <= n:
+            raise ValueError(f"{option} {v} is out of range for degree {n} (points are 1-based)")
         vals.append(v - 1)
     return vals
 
@@ -121,13 +121,15 @@ def _cmd_construct(args) -> int:
             f"most {_MAX_CONSTRUCT_ELEMENTS} elements; got n={n}"
         )
     if what == "gamma":
+        if not 1 <= args.x <= n:
+            raise ValueError(f"--x {args.x} is out of range for degree {n} (points are 1-based)")
         S = extremal.gamma(n, args.x - 1)
     elif what == "nullmax":
-        pts = _parse_points(args.points) if args.points else None
+        pts = _parse_points(args.points, n, "--points") if args.points else None
         S = extremal.null_max(n, pts)
     elif what == "omega":
         if args.b:
-            B = _parse_points(args.b)
+            B = _parse_points(args.b, n, "--b")
         else:
             B = list(range(extremal.xi_alpha(n + 1).alpha - 1))
         S = extremal.omega_pn(n, B)
@@ -136,7 +138,7 @@ def _cmd_construct(args) -> int:
     elif what == "abelian":
         S = extremal.abelian_witness(n)
     elif what == "nullid":
-        pts = _parse_points(args.points) if args.points else None
+        pts = _parse_points(args.points, n, "--points") if args.points else None
         S = extremal.null_plus_identity(n, pts)
     else:  # knit
         a1, a2 = extremal.knit_witness(n)
@@ -227,6 +229,8 @@ def _cmd_nullify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    if args.knit is not None and args.knit < 1:
+        raise ValueError(f"graph --knit must be at least 1, got {args.knit}")
     if args.knit is not None and args.knit > _MAX_KNIT_LENGTH:
         raise ValueError(f"graph --knit is capped at {_MAX_KNIT_LENGTH}, got {args.knit}")
     S = _load(args.file)

@@ -53,15 +53,14 @@ from .semigroups import (
     _closure_images,
     _commutes_with,
     _images_and_tables,
+    _sole_idempotent,
     classify_small_abelian_group,
     enumerate_full,
     enumerate_partial,
     enumerate_sym,
-    has_unique_idempotent,
     idempotents,
     is_group,
     is_null,
-    unique_idempotent,
 )
 from .transform import _FILL, Transformation, _raw, is_idempotent, omega_power, product
 
@@ -272,7 +271,7 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
         [(f, items, commuting_rows(items)) for f, items in _omega_classes(S).items()],
         f"max_unique_idempotent({n},{kind})",
         _tag_unique_idem,
-        lambda T, f: has_unique_idempotent(T) and unique_idempotent(T) == f,
+        lambda T, f: idempotents(T) == [f],
     )
 
 
@@ -391,8 +390,8 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
         except ClosureLimitExceeded:
             continue
         tables = [a + fill for a in imgs]
-        es = [a for a, t in zip(imgs, tables) if a.translate(t) == a]
-        if len(es) != 1 or es[0] == ident:
+        e = _sole_idempotent(imgs, tables)
+        if e is None or e == ident:
             continue
         if not _all_commute(imgs, tables):  # cannot happen: commuting generators
             raise RuntimeError("closure of commuting generators is not commutative")

@@ -234,10 +234,6 @@ def idempotents(S: SemigroupSet) -> list[AnyTransformation]:
     return [a for a in S if _is_idempotent_el(a)]
 
 
-def has_unique_idempotent(S: SemigroupSet) -> bool:
-    return len(idempotents(S)) == 1
-
-
 def unique_idempotent(S: SemigroupSet) -> AnyTransformation:
     es = idempotents(S)
     if len(es) != 1:
@@ -258,39 +254,37 @@ def is_null(S: SemigroupSet) -> tuple[bool, AnyTransformation | None]:
     return False, None
 
 
+def _sole_idempotent(imgs: list[bytes], tables: list[bytes]) -> bytes | None:
+    """The image of the only x with x·x = x, or None; one product per element."""
+    es = [a for a, t in zip(imgs, tables) if a.translate(t) == a]
+    return es[0] if len(es) == 1 else None
+
+
 def is_nilpotent(S: SemigroupSet) -> bool:
     """True iff S^k is a single element (then the zero) for some k.
 
-    An idempotent e = e^k lies in every S^k, so a nilpotent S has exactly
-    one.  Otherwise walk S ⊇ S² ⊇ …, with S^(k+1) = {p·y : p ∈ S^k, y ∈ S}
-    read off S's own tables, until it is one element or stops shrinking.
+    Exactly when S has a sole idempotent z and za = z for every a (then az =
+    z too: z is a power of a).  Such an S is nil, and a product of over |S|
+    factors has two equal prefixes p = pu, so p = puᵏ = pz = z.  The
+    converse holds as every idempotent e = eᵏ and every za lie in S^k.
     """
     _require_closed(S, "is_nilpotent")
     imgs, tables = _images_and_tables(S)
-    if sum(map(operator.eq, map(bytes.translate, imgs, tables), imgs)) != 1:
-        return False
-    power = set(imgs)
-    while len(power) > 1:
-        nxt: set[bytes] = set()
-        for p in power:
-            nxt.update(map(p.translate, tables))
-        if len(nxt) == len(power):  # S^(k+1) ⊆ S^k, so the chain has stopped
-            return False
-        power = nxt
-    return True
+    z = _sole_idempotent(imgs, tables)
+    return z is not None and set(map(z.translate, tables)) == {z}
 
 
 def is_group(S: SemigroupSet) -> bool:
-    """True iff S is closed and aS = S = Sa for every a in S, on image bytes."""
+    """True iff S is a group: closed, with a sole idempotent e and ea = a for all a.
+
+    Each a has an ω-power aᵐ = e, so ae = a too, and a·aᵐ⁻¹ = e (a⁰ = e):
+    every element is invertible.
+    """
     if not S.is_closed():
         return False
     imgs, tables = _images_and_tables(S)
-    members = set(imgs)
-    return all(
-        set(map(a.translate, tables)) == members  # aS = S
-        and set(map(bytes.translate, imgs, itertools.repeat(t))) == members  # Sa = S
-        for a, t in zip(imgs, tables)
-    )
+    e = _sole_idempotent(imgs, tables)
+    return e is not None and list(map(e.translate, tables)) == imgs
 
 
 def classify_small_abelian_group(S: SemigroupSet) -> str:

@@ -272,12 +272,11 @@ def _validate_m(M: SemigroupSet, r: int, t: int, needed: int) -> None:
 def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> NullifyTrace:
     """Like nullify, but returns every intermediate stage of the surgery."""
     part = s_partition(S)  # validates closed / commutative / unique idempotent
-    e = unique_idempotent(S)
     n = S.degree
-    if e == Transformation.identity(n):
+    r = len(part.blocks[0])  # |im e|, which is n exactly when e = id
+    if r == n:
         raise ValueError("input is a group; nothing to nullify")
     sigma = element_order(part)
-    r = len(part.blocks[0])
     tree_s = build_tree(S, sigma)
     profile_s = level_profile(tree_s)
     validate_tree_lemmas(tree_s, r)

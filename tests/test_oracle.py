@@ -28,7 +28,6 @@ from commsemi.semigroups import (
     SemigroupSet,
     classify_small_abelian_group,
     closure,
-    has_unique_idempotent,
     idempotents,
     is_group,
     is_null,
@@ -107,7 +106,7 @@ class TestMaxUniqueIdempotent:
         null_tags = [t for t in r.tags if t.startswith("NULL:N(")]
         assert len(null_tags) == 12 == len(set(null_tags))
         for M in r.maximizers:
-            assert has_unique_idempotent(M)
+            assert len(idempotents(M)) == 1
 
     def test_full_5_all_null(self):
         r = max_unique_idempotent(5, "full")
@@ -439,7 +438,7 @@ class TestRandomGenerator:
             S = random_commutative_unique_idem(n, seed)
             assert S.is_closed()
             assert S.is_commutative()
-            assert has_unique_idempotent(S)
+            assert len(idempotents(S)) == 1
             assert unique_idempotent(S) != Transformation.identity(n)
             sizes.add(len(S))
         assert len(sizes) > 1

@@ -13,6 +13,7 @@ from commsemi.graphs import commuting_rows
 from commsemi.semigroups import SemigroupSet, closure, idempotents, is_group, is_nilpotent, is_null
 from commsemi.serialization import dumps_semigroup, load_semigroup
 from commsemi.transform import PartialTransformation, Transformation, embed_partial, product
+from test_semigroups import loop_is_group, loop_is_nilpotent
 
 SETTINGS = dict(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -96,10 +97,17 @@ def test_canonical_json_round_trips():
     prop()
 
 
+# the object-level reference loops take |S|² element products; larger closures
+# (up to a few thousand maps here) get the implications only
+REFERENCE_SIZE = 150
+
+
 def test_structure_predicates_imply_their_idempotents():
-    # null ⇒ nilpotent; nilpotent ⇒ one idempotent, the zero; group ⇒ one idempotent
+    # null ⇒ nilpotent; nilpotent ⇒ one idempotent, the zero; group ⇒ one idempotent;
+    # and is_group, is_nilpotent equal their object-level references both ways
     hypothesis, maps = hypothesis_and_maps()
     seen = set()
+    compared = set()
 
     @hypothesis.settings(**SETTINGS)
     @hypothesis.given(maps())
@@ -115,10 +123,17 @@ def test_structure_predicates_imply_their_idempotents():
             assert len(es) == 1
         flags = {"null": null, "nilpotent": nilpotent, "group": group}
         seen.update((name, len(S) > 1) for name, flag in flags.items() if flag)
+        if len(S) <= REFERENCE_SIZE:
+            assert group == loop_is_group(S), S.elements
+            assert nilpotent == loop_is_nilpotent(S), S.elements
+            if len(S) > 1:
+                compared.update({("group", group), ("nilpotent", nilpotent)})
 
     prop()
     # no implication holds only because its premise never occurs on a set of 2+
     assert {(name, True) for name in ("null", "nilpotent", "group")} <= seen, seen
+    # both outcomes of both rules meet their references on sets of 2+
+    assert compared == {(name, flag) for name in ("group", "nilpotent") for flag in (True, False)}
 
 
 def test_commuting_rows_match_the_products():

@@ -17,7 +17,6 @@ from commsemi.semigroups import (
     enumerate_full,
     enumerate_partial,
     enumerate_sym,
-    has_unique_idempotent,
     idempotents,
     image_union,
     is_group,
@@ -210,6 +209,10 @@ class TestStructurePredicatesOnImageBytes:
     @staticmethod
     def cases():
         yield from TestPredicatesOnImageBytes.cases()
+        # index 2, period 2: the one idempotent, [2, 3, 2, 3] (⊥ at the partial
+        # map's last point), is neither an identity nor a zero: no group, not nilpotent
+        yield closure([Transformation([1, 2, 3, 2])])
+        yield closure([PartialTransformation([1, 2, 3, 2, None])])
         yield closure([Transformation([1, 0, 3, 2]), Transformation([2, 3, 0, 1])])  # Klein
         yield closure([Transformation([1, 2, 3, 0])])  # C4
         yield enumerate_sym(3)  # a group that is not abelian
@@ -385,7 +388,7 @@ class TestIdempotents:
 
     def test_unique_idempotent(self):
         S = example_semigroup()
-        assert has_unique_idempotent(S)
+        assert len(idempotents(S)) == 1
         assert unique_idempotent(S) == Transformation([0, 6, 3, 3, 3, 3, 6])
         with pytest.raises(ValueError):
             unique_idempotent(enumerate_full(2))

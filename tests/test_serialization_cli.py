@@ -268,8 +268,24 @@ class TestCliConstruct:
         assert load_semigroup_file(str(out_path)).elements == gamma(3, 0).elements
 
     def test_gamma_bad_point(self, capsys):
-        assert cli.run(["construct", "gamma", "--n", "3", "--x", "5"]) == 2
-        assert "error:" in capsys.readouterr().err
+        # named as typed: 1-based, checked against --n
+        for x in ("0", "4", "5"):
+            assert cli.run(["construct", "gamma", "--n", "3", "--x", x]) == 2
+            assert f"error: --x {x} is out of range for degree 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "what, option, text, bad",
+        [
+            ("nullmax", "--points", "1,9,3", "9"),
+            ("nullmax", "--points", "0,1", "0"),
+            ("nullid", "--points", "2,5", "5"),
+            ("omega", "--b", "7", "7"),
+        ],
+    )
+    def test_point_list_out_of_range(self, capsys, what, option, text, bad):
+        assert cli.run(["construct", what, "--n", "4", option, text]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {option} {bad} is out of range for degree 4" in err
 
     def test_nullmax_with_points(self, capsys):
         assert cli.run(["construct", "nullmax", "--n", "4", "--points", "2,1"]) == 0
@@ -604,9 +620,12 @@ class TestCliGraph:
         assert "graph --knit is capped at 4, got 5" in captured.err
 
     def test_knit_length_below_one(self, capsys, t3_file):
+        # refused up front, like a length over the cap
         for k in ("0", "-3"):
             assert cli.run(["graph", t3_file, f"--knit={k}"]) == 2
-            assert "at least 1" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert "vertices:" not in captured.out
+            assert "at least 1" in captured.err
 
     def test_rejects_commutative(self, capsys, tmp_path):
         path = tmp_path / "gamma.json"

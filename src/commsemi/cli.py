@@ -36,8 +36,8 @@ from .serialization import (
 
 _PRINT_LIMIT = 64
 
-# Each closure, commute, center or null check reads up to |S|² products off image
-# bytes (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
+# Each closure, commute or center check reads up to |S|² products off image bytes
+# (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
 _MAX_FILE_ELEMENTS = 4096
 _MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K; verify searches up to 4
 
@@ -84,6 +84,16 @@ def _parse_points(text: str, n: int, option: str) -> list[int]:
     return vals
 
 
+def _require_points(vals: list[int], option: str, count: int, rule: str) -> None:
+    """ValueError unless ``vals`` are ``count`` distinct points; names them 1-based."""
+    if len(vals) != count or len(set(vals)) != count:
+        typed = ",".join(str(v + 1) for v in vals)
+        plural = "s" if count != 1 else ""
+        raise ValueError(
+            f"{option} needs exactly {count} distinct point{plural} ({rule}), got {typed}"
+        )
+
+
 def _load(path: str) -> SemigroupSet:
     S = load_semigroup_file(path)
     if len(S) > _MAX_FILE_ELEMENTS:
@@ -124,12 +134,19 @@ def _cmd_construct(args) -> int:
         if not 1 <= args.x <= n:
             raise ValueError(f"--x {args.x} is out of range for degree {n} (points are 1-based)")
         S = extremal.gamma(n, args.x - 1)
-    elif what == "nullmax":
-        pts = _parse_points(args.points, n, "--points") if args.points else None
-        S = extremal.null_max(n, pts)
+    elif what in ("nullmax", "nullid"):
+        pts = None
+        if args.points:
+            pts = _parse_points(args.points, n, "--points")
+            alpha = extremal.xi_alpha(n).alpha
+            _require_points(pts, "--points", alpha, f"α({n}) = {alpha}")
+        build = extremal.null_max if what == "nullmax" else extremal.null_plus_identity
+        S = build(n, pts)
     elif what == "omega":
         if args.b:
             B = _parse_points(args.b, n, "--b")
+            size = extremal.xi_alpha(n + 1).alpha - 1
+            _require_points(B, "--b", size, f"α({n + 1}) − 1 = {size}")
         else:
             B = list(range(extremal.xi_alpha(n + 1).alpha - 1))
         S = extremal.omega_pn(n, B)
@@ -137,9 +154,6 @@ def _cmd_construct(args) -> int:
         S = extremal.e_ix(n)
     elif what == "abelian":
         S = extremal.abelian_witness(n)
-    elif what == "nullid":
-        pts = _parse_points(args.points, n, "--points") if args.points else None
-        S = extremal.null_plus_identity(n, pts)
     else:  # knit
         a1, a2 = extremal.knit_witness(n)
         S = SemigroupSet([a1, a2])

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .semigroups import _IMG, SemigroupSet
+from .semigroups import _IMG, SemigroupSet, _from_images
 from .transform import AnyTransformation, PartialTransformation, Transformation, _raw
 
 
@@ -49,10 +49,6 @@ def xi_table(n_max: int) -> list[XiAlpha]:
     return [xi_alpha(n) for n in range(1, n_max + 1)]
 
 
-def _full(img: Sequence[int]) -> Transformation:
-    return _raw(Transformation, bytes(img))
-
-
 def gamma(n: int, x: int) -> SemigroupSet:
     """Γ: the 2^(n−1) maps fixing x whose other points go to themselves or x.
 
@@ -62,18 +58,19 @@ def gamma(n: int, x: int) -> SemigroupSet:
     if not 0 <= x < n:
         raise ValueError(f"x={x} out of range for degree {n}")
     others = [y for y in range(n) if y != x]
-    elems = []
+    imgs = []
     for choice in itertools.product(range(2), repeat=n - 1):
         img = [0] * n
         img[x] = x
         for y, keep in zip(others, choice):
             img[y] = y if keep else x
-        elems.append(_full(img))
-    S = SemigroupSet(elems, closed=True, commutative=True)
+        imgs.append(bytes(img))
+    S = _from_images(Transformation, imgs, closed=True, commutative=True)
     assert len(S) == 2 ** (n - 1)
-    for a in S:
-        if a.img[x] != x or any(a.img[y] not in (x, y) for y in others):
-            raise AssertionError(f"gamma builder produced a bad map {a!r}")
+    for img in S.images:
+        if img[x] != x or any(img[y] not in (x, y) for y in others):
+            bad = _raw(Transformation, img)
+            raise AssertionError(f"gamma builder produced a bad map {bad!r}")
     return S
 
 
@@ -121,8 +118,9 @@ def _in_null_shape(imgs: list[bytes], points: Sequence[int]) -> bool:
     return pts.issuperset(chain.from_iterable(imgs))
 
 
-def _null_maps(cls: type, n: int, points: Sequence[int]) -> list:
-    """Every degree-n map of type ``cls`` in the null shape on ``points`` (⊥ only first)."""
+def _null_maps(cls: type, n: int, points: Sequence[int]) -> list[bytes]:
+    """The images of every degree-n map of type ``cls`` in the null shape on
+    ``points`` (⊥ only first), certified as a whole; a bad one is named."""
     pts = list(points)
     t = len(pts)
     if len(set(pts)) != t or t == 0:
@@ -131,11 +129,11 @@ def _null_maps(cls: type, n: int, points: Sequence[int]) -> list:
         raise ValueError(f"points {pts} out of range for degree {n}")
     # base points go to x₁, free points anywhere in pts; the last slot varies fastest
     slots = [(pts[0],) if y in pts else pts for y in range(n)]
-    elems = [_raw(cls, img) for img in map(bytes, itertools.product(*slots))]
-    bad = _check_null_shape(elems, pts)
-    if bad is not None:
+    imgs = list(map(bytes, itertools.product(*slots)))
+    if not _in_null_shape(imgs, pts):
+        bad = _check_null_shape([_raw(cls, img) for img in imgs], pts)
         raise AssertionError(f"null builder produced {bad!r}, outside the null shape on {pts}")
-    return elems
+    return imgs
 
 
 def null_semigroup(n: int, points: Sequence[int]) -> SemigroupSet:
@@ -144,20 +142,21 @@ def null_semigroup(n: int, points: Sequence[int]) -> SemigroupSet:
     Size is t^(n−t) for t = len(points); only t = α(n) gives the maximum
     (see :func:`null_max`, which enforces that).
     """
-    return SemigroupSet(_null_maps(Transformation, n, points), closed=True, commutative=True)
+    imgs = _null_maps(Transformation, n, points)
+    return _from_images(Transformation, imgs, closed=True, commutative=True)
 
 
-def _null_max_maps(n: int, points: Sequence[int] | None) -> list[Transformation]:
-    """The ξ(n) certified maps of ``null_max(n, points)``."""
+def _null_max_maps(n: int, points: Sequence[int] | None) -> list[bytes]:
+    """The images of the ξ(n) certified maps of ``null_max(n, points)``."""
     _, alpha, xi = xi_alpha(n)
     pts = list(range(alpha)) if points is None else list(points)
     if len(pts) != alpha or len(set(pts)) != len(pts):
         raise ValueError(
             f"null_max at degree {n} needs exactly α({n})={alpha} distinct points, got {pts}"
         )
-    elems = _null_maps(Transformation, n, pts)
-    assert len(elems) == xi
-    return elems
+    imgs = _null_maps(Transformation, n, pts)
+    assert len(imgs) == xi
+    return imgs
 
 
 def null_max(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
@@ -166,7 +165,7 @@ def null_max(n: int, points: Sequence[int] | None = None) -> SemigroupSet:
     Defaults to points 0..α(n)−1.  Size ξ(n); the zero is the constant map
     to points[0], which has rank 1.
     """
-    return SemigroupSet(_null_max_maps(n, points), closed=True, commutative=True)
+    return _from_images(Transformation, _null_max_maps(n, points), closed=True, commutative=True)
 
 
 def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
@@ -188,20 +187,17 @@ def omega_pn(n: int, B: Sequence[int]) -> SemigroupSet:
         raise ValueError(
             f"omega_pn at degree {n} needs |B| = α({n + 1})−1 = {alpha - 1}, got {len(bs)}"
         )
-    elems = _null_maps(PartialTransformation, n, [n, *bs])
-    assert len(elems) == xi
-    return SemigroupSet(elems, closed=True, commutative=True)
+    imgs = _null_maps(PartialTransformation, n, [n, *bs])
+    assert len(imgs) == xi
+    return _from_images(PartialTransformation, imgs, closed=True, commutative=True)
 
 
 def e_ix(n: int) -> SemigroupSet:
     """All 2^n partial identities id_Y; products intersect domains."""
     if n < 1:
         raise ValueError(f"degree must be a positive integer, got {n}")
-    elems = []
-    for bits in range(1 << n):
-        img = tuple(x if bits >> x & 1 else n for x in range(n))
-        elems.append(_raw(PartialTransformation, bytes(img)))
-    return SemigroupSet(elems, closed=True, commutative=True)
+    imgs = [bytes(x if bits >> x & 1 else n for x in range(n)) for bits in range(1 << n)]
+    return _from_images(PartialTransformation, imgs, closed=True, commutative=True)
 
 
 def burns_goldsmith_order(n: int) -> int:
@@ -230,14 +226,14 @@ def abelian_witness(n: int) -> SemigroupSet:
     cycles = [range(start, start + 3) for start in range(0, cut, 3)]
     if cut < n:
         cycles.append(range(cut, n))
-    elems = []
+    imgs = []
     for shifts in itertools.product(*(range(len(c)) for c in cycles)):
         img = [0] * n
         for c, k in zip(cycles, shifts):
             for j, p in enumerate(c):
                 img[p] = c[(j + k) % len(c)]
-        elems.append(_full(img))
-    S = SemigroupSet(elems, closed=True, commutative=True)
+        imgs.append(bytes(img))
+    S = _from_images(Transformation, imgs, closed=True, commutative=True)
     if len(S) != target:
         raise AssertionError(
             f"abelian witness at degree {n} has order {len(S)}, expected {target}"
@@ -249,9 +245,10 @@ def null_plus_identity(n: int, points: Sequence[int] | None = None) -> Semigroup
     """null_max plus the identity: commutative of size ξ(n)+1, two idempotents."""
     if n < 2:  # T_1 is {id}, already the null maximum
         raise ValueError(f"null_plus_identity needs degree at least 2, got {n}")
-    elems = _null_max_maps(n, points)
-    S = SemigroupSet([*elems, Transformation.identity(n)], closed=True, commutative=True)
-    if len(S) != len(elems) + 1:
+    imgs = _null_max_maps(n, points)
+    imgs.append(bytes(range(n)))  # the identity
+    S = _from_images(Transformation, imgs, closed=True, commutative=True)
+    if len(S) != len(imgs):
         raise AssertionError("identity collided with the null part")
     return S
 
@@ -267,5 +264,5 @@ def knit_witness(n: int) -> tuple[Transformation, Transformation]:
     if n < 3:
         raise ValueError(f"knit witness needs degree ≥ 3, got {n}")
     a1 = Transformation.constant(n, 0)
-    a2 = _full((0,) * (n - 1) + (1,))
+    a2 = _raw(Transformation, bytes(n - 1) + b"\x01")
     return a1, a2

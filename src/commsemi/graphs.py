@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .semigroups import SemigroupSet, _commutes_with, center
-from .transform import _FILL, product
+from .transform import _FILL, _raw, product
 
 INFINITY = math.inf
 
@@ -314,8 +314,7 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    elems = S.elements
-    imgs = [a.img for a in elems]
+    imgs = S.images
     fill = _FILL[S.degree]
 
     def commuters(i: int):
@@ -344,12 +343,12 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
         return list(map(first.translate, tables)) == list(map(last.translate, tables))
 
     for length in range(1, max_len + 1):
-        for start in range(len(elems)):
+        for start in range(len(imgs)):
             if central(start):
                 continue
             found = _extend_path([start], length, steps, is_left_path)
             if found:
-                return [elems[i] for i in found]
+                return [_raw(S.element_class, imgs[i]) for i in found]
     return None
 
 

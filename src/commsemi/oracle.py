@@ -52,6 +52,7 @@ from .semigroups import (
     _all_commute,
     _closure_images,
     _commutes_with,
+    _from_images,
     _images_and_tables,
     _sole_idempotent,
     classify_small_abelian_group,
@@ -62,7 +63,7 @@ from .semigroups import (
     is_group,
     is_null,
 )
-from .transform import _FILL, Transformation, _raw, is_idempotent, omega_power, product
+from .transform import _FILL, Transformation, is_idempotent, omega_power, product
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -161,7 +162,7 @@ def _tag_commutative(T: SemigroupSet) -> str:
     EIX for E(I_X); else the group type or OTHER.  One comparison at most."""
     n = T.degree
     if T.kind == "full":
-        fixed = [x for x in range(n) if all(a.img[x] == x for a in T)]
+        fixed = [x for x in range(n) if all(img[x] == x for img in T.images)]
         if len(fixed) == 1 and T == gamma(n, fixed[0]):
             return f"GAMMA:{fixed[0]}"
     elif T == e_ix(n):
@@ -178,8 +179,9 @@ def _tag_null(T: SemigroupSet) -> str:
     n = T.degree
     if T.kind == "full" and len(T) == 1 and T.elements[0] == Transformation.identity(n):
         return "ID"
-    x1 = product(T[0], T[0]).img[0]
-    rest = [p for p in range(n) if p != x1 and all(a.img[p] == x1 for a in T)]
+    first = T.images[0]
+    x1 = first.translate(first + _FILL[n])[0]
+    rest = [p for p in range(n) if p != x1 and all(img[p] == x1 for img in T.images)]
     if T.kind == "full":
         if len(rest) == xi_alpha(n).alpha - 1 and T == null_max(n, [x1, *rest]):
             return f"NULL:N({x1};{','.join(map(str, rest))})"
@@ -221,7 +223,7 @@ def _search(pools, context: str, tag, check) -> OracleResult:
         if not check(T, key):
             raise RuntimeError(f"{context}: pool {key!r} produced {T!r}, which fails its check")
         results.append((T, tag(T)))
-    results.sort(key=lambda st: st[0].elements)
+    results.sort(key=lambda st: st[0].images)
     return OracleResult(best, tuple(T for T, _ in results), tuple(t for _, t in results))
 
 
@@ -402,9 +404,7 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
             f"could not generate a unique-idempotent semigroup of degree {n} "
             f"after 2000 attempts (seed {seed})"
         )
-    return SemigroupSet(
-        [_raw(Transformation, a) for a in best], closed=True, commutative=True
-    )
+    return _from_images(Transformation, best, closed=True, commutative=True)
 
 
 # ---------------------------------------------------------------------------

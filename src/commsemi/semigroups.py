@@ -1,8 +1,9 @@
 """Finite sets of (partial) transformations viewed as semigroups.
 
 A :class:`SemigroupSet` is an immutable, canonically sorted collection of
-same-degree elements of one kind (``"full"`` or ``"partial"``) plus two
-cached tri-state flags (closed / commutative: True, False or unknown).
+same-degree elements of one kind (``"full"`` or ``"partial"``), held as
+their image bytes, plus two cached tri-state flags (closed / commutative:
+True, False or unknown).
 Everything else — closure, center, idempotents, the structural predicates
 and restriction — lives in module-level functions.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .transform import (
     AnyTransformation,
@@ -40,30 +41,43 @@ class ClosureLimitExceeded(RuntimeError):
 _IMG = operator.attrgetter("img")
 
 
-def _kind_of(types: set[type]) -> str:
-    """The kind shared by elements of these types; TypeError if there is none."""
+def _class_of(types: set[type]) -> type:
+    """The element class for elements of these types; TypeError unless they share a kind.
+
+    One type is its own class; several types of one kind give the kind's class.
+    """
     kinds = set()
     for cls in sorted(types, key=lambda c: c.__name__):
         if issubclass(cls, Transformation):
-            kinds.add(FULL)
+            kinds.add(Transformation)
         elif issubclass(cls, PartialTransformation):
-            kinds.add(PARTIAL)
+            kinds.add(PartialTransformation)
         else:
             raise TypeError(f"unsupported element type {cls.__name__}")
     if len(kinds) != 1:
         raise TypeError("elements must all be of the same kind")
-    return kinds.pop()
+    return types.pop() if len(types) == 1 else kinds.pop()
 
 
 class SemigroupSet:
     """Duplicate-free, canonically sorted set of transformations of one kind.
 
-    The canonical order is the order of the image bytes ``a.img``, with ⊥
-    (stored as the degree) after every point; sorting on that key keeps
-    every comparison in C.
+    The set *is* its ``images``: the sorted tuple of its elements' distinct
+    image bytes ``a.img``, with ⊥ (stored as the degree) after every point,
+    plus the class of its elements.  Size, degree, equality, hashing and
+    membership read that tuple; the element objects are built on first use
+    of ``elements``, iteration or indexing, one per image, and then kept.
     """
 
-    __slots__ = ("degree", "kind", "elements", "_set", "_closed", "_commutative")
+    __slots__ = (
+        "images",
+        "element_class",
+        "_elements",
+        "_members",
+        "_digest",
+        "_closed",
+        "_commutative",
+    )
 
     def __init__(
         self,
@@ -72,32 +86,37 @@ class SemigroupSet:
         closed: bool | None = None,
         commutative: bool | None = None,
     ):
-        members = frozenset(elements)
-        if not members:
+        elements = list(elements)
+        if not elements:
             raise ValueError("a SemigroupSet needs at least one element")
-        kind = _kind_of(set(map(type, members)))
-        degrees = set(map(len, map(_IMG, members)))
-        if len(degrees) != 1:
-            raise ValueError("elements must all share one degree")
-        (degree,) = degrees
-        elems = tuple(sorted(members, key=_IMG))
-        self.degree = degree
-        self.kind = kind
-        self.elements = elems
-        self._set = members
-        self._closed = closed
-        self._commutative = commutative
+        cls = _class_of(set(map(type, elements)))
+        _fill_set(self, cls, map(_IMG, elements), closed, commutative)
+
+    @property
+    def degree(self) -> int:
+        return len(self.images[0])
+
+    @property
+    def kind(self) -> str:
+        return FULL if issubclass(self.element_class, Transformation) else PARTIAL
+
+    @property
+    def elements(self) -> tuple[AnyTransformation, ...]:
+        if self._elements is None:
+            cls = self.element_class
+            self._elements = tuple([_raw(cls, img) for img in self.images])
+        return self._elements
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self) -> Iterator[AnyTransformation]:
         return iter(self.elements)
 
     def __contains__(self, a: object) -> bool:
-        return a in self._set
+        return type(a) is self.element_class and a.img in _members(self)
 
     def __getitem__(self, i: int) -> AnyTransformation:
         return self.elements[i]
@@ -105,13 +124,12 @@ class SemigroupSet:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SemigroupSet)
-            and self.kind == other.kind
-            and self.degree == other.degree
-            and self.elements == other.elements
+            and self.element_class is other.element_class
+            and self.images == other.images
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.degree, self.elements))
+        return hash((self.element_class, self.images))
 
     def __repr__(self) -> str:
         return f"<SemigroupSet kind={self.kind} degree={self.degree} size={len(self)}>"
@@ -121,7 +139,7 @@ class SemigroupSet:
     def is_closed(self) -> bool:
         if self._closed is None:
             imgs, tables = _images_and_tables(self)
-            members = set(imgs)
+            members = _members(self)
             self._closed = all(
                 members.issuperset(map(bytes.translate, imgs, itertools.repeat(t)))
                 for t in tables
@@ -134,13 +152,58 @@ class SemigroupSet:
         return self._commutative
 
 
-def _images_and_tables(S: SemigroupSet) -> tuple[list[bytes], list[bytes]]:
+def _fill_set(
+    S: SemigroupSet,
+    cls: type,
+    imgs: Iterable[bytes],
+    closed: bool | None,
+    commutative: bool | None,
+) -> None:
+    """Give S the distinct ``imgs`` of elements of class ``cls``, in canonical order."""
+    images = tuple(sorted(set(imgs)))
+    if not images:
+        raise ValueError("a SemigroupSet needs at least one element")
+    if len(set(map(len, images))) != 1:
+        raise ValueError("elements must all share one degree")
+    S.images = images
+    S.element_class = cls
+    S._elements = S._members = S._digest = None
+    S._closed = closed
+    S._commutative = commutative
+
+
+def _from_images(
+    cls: type,
+    imgs: Iterable[bytes],
+    *,
+    closed: bool | None = None,
+    commutative: bool | None = None,
+) -> SemigroupSet:
+    """The set of the elements of class ``cls`` with these images, built from bytes.
+
+    Every image must be a valid image of ``cls`` (see ``transform._raw``);
+    nothing checks it.  :class:`SemigroupSet` itself checks its elements'
+    kinds and then takes this same path.
+    """
+    S = object.__new__(SemigroupSet)
+    _fill_set(S, cls, imgs, closed, commutative)
+    return S
+
+
+def _members(S: SemigroupSet) -> frozenset[bytes]:
+    """S's images as a frozenset, built on first use."""
+    if S._members is None:
+        S._members = frozenset(S.images)
+    return S._members
+
+
+def _images_and_tables(S: SemigroupSet) -> tuple[tuple[bytes, ...], list[bytes]]:
     """The image bytes of S's elements, and each one's ``translate`` table.
 
     ``a.translate(t_b)`` is the image of the product ab, so the predicates
     test all |S|² pairs in C, without an element object per product.
     """
-    imgs = list(map(_IMG, S.elements))
+    imgs = S.images
     fill = _FILL[S.degree]
     return imgs, [img + fill for img in imgs]
 
@@ -157,7 +220,7 @@ def _commutes_with(
     return map(operator.eq, xys, map(bytes.translate, imgs, itertools.repeat(tx)))
 
 
-def _all_commute(imgs: list[bytes], tables: list[bytes]) -> bool:
+def _all_commute(imgs: Sequence[bytes], tables: Sequence[bytes]) -> bool:
     """True iff ab = ba for all images a, b of one degree (tables as above)."""
     return all(
         all(_commutes_with(a, t, imgs[i + 1 :], tables[i + 1 :]))
@@ -185,9 +248,8 @@ def closure(
     first = gens[0]
     for g in gens:
         compose(first, g)  # raises on a mixed kind or degree, with product's message
-    cls = type(first)
     imgs = _closure_images([g.img for g in gens], limit)
-    return SemigroupSet([_raw(cls, p) for p in imgs], closed=True)
+    return _from_images(type(first), imgs, closed=True)
 
 
 def _closure_images(gens: list[bytes], limit: int | None) -> list[bytes]:
@@ -244,17 +306,27 @@ def unique_idempotent(S: SemigroupSet) -> AnyTransformation:
 def is_null(S: SemigroupSet) -> tuple[bool, AnyTransformation | None]:
     """True iff every product equals one fixed element z (the zero); returns z.
 
-    On image bytes: every row {a·y : y ∈ S} must be {z}, with z = S[0]².
+    Read off the columns, with no product past z = S[0]²: let V_x = {a(x) :
+    a ∈ S} for each point x, and V_⊥ = {⊥}, as every map fixes ⊥.  Since
+    ab(x) = b(a(x)), the values at x of all |S|² products form the union of
+    V_v over v ∈ V_x.  So every product equals one map w iff that union is
+    {w(x)} for every x, i.e. V_v = {w(x)} for each v ∈ V_x.  If S is null,
+    w is the zero and equals z, itself a product; conversely, if V_v =
+    {z(x)} for every x and v ∈ V_x, then ab = z for all a, b, and z ∈ S as
+    S is closed.  That is n·|S| byte reads, not |S|² products.
     """
     _require_closed(S, "is_null")
-    imgs, tables = _images_and_tables(S)
-    z = imgs[0].translate(tables[0])
-    if all(set(map(a.translate, tables)) == {z} for a in imgs):
-        return True, _raw(type(S[0]), z)
+    imgs, n = S.images, S.degree
+    z = imgs[0].translate(imgs[0] + _FILL[n])
+    joined = b"".join(imgs)
+    values = [set(joined[x::n]) for x in range(n)]
+    values.append({n})  # V_⊥
+    if all(values[v] == {z[x]} for x in range(n) for v in values[x]):
+        return True, _raw(S.element_class, z)
     return False, None
 
 
-def _sole_idempotent(imgs: list[bytes], tables: list[bytes]) -> bytes | None:
+def _sole_idempotent(imgs: Sequence[bytes], tables: Sequence[bytes]) -> bytes | None:
     """The image of the only x with x·x = x, or None; one product per element."""
     es = [a for a, t in zip(imgs, tables) if a.translate(t) == a]
     return es[0] if len(es) == 1 else None
@@ -284,7 +356,7 @@ def is_group(S: SemigroupSet) -> bool:
         return False
     imgs, tables = _images_and_tables(S)
     e = _sole_idempotent(imgs, tables)
-    return e is not None and list(map(e.translate, tables)) == imgs
+    return e is not None and tuple(map(e.translate, tables)) == imgs
 
 
 def classify_small_abelian_group(S: SemigroupSet) -> str:
@@ -308,8 +380,8 @@ def enumerate_full(n: int) -> SemigroupSet:
         raise ValueError("degree must be at least 1")
     if n > MAX_FULL_DEGREE:
         raise ValueError(f"degree {n} exceeds the full-enumeration cap {MAX_FULL_DEGREE}")
-    elems = [_raw(Transformation, bytes(img)) for img in itertools.product(range(n), repeat=n)]
-    return SemigroupSet(elems, closed=True, commutative=(n <= 1))
+    imgs = map(bytes, itertools.product(range(n), repeat=n))
+    return _from_images(Transformation, imgs, closed=True, commutative=(n <= 1))
 
 
 def enumerate_partial(n: int) -> SemigroupSet:
@@ -318,11 +390,8 @@ def enumerate_partial(n: int) -> SemigroupSet:
         raise ValueError("degree must be at least 1")
     if n > MAX_PARTIAL_DEGREE:
         raise ValueError(f"degree {n} exceeds the partial-enumeration cap {MAX_PARTIAL_DEGREE}")
-    elems = [
-        _raw(PartialTransformation, bytes(img))
-        for img in itertools.product(range(n + 1), repeat=n)
-    ]
-    return SemigroupSet(elems, closed=True, commutative=(n <= 1))
+    imgs = map(bytes, itertools.product(range(n + 1), repeat=n))
+    return _from_images(PartialTransformation, imgs, closed=True, commutative=(n <= 1))
 
 
 def enumerate_sym(n: int) -> SemigroupSet:
@@ -331,8 +400,8 @@ def enumerate_sym(n: int) -> SemigroupSet:
         raise ValueError("degree must be at least 1")
     if n > MAX_SYM_DEGREE:
         raise ValueError(f"degree {n} exceeds the permutation-enumeration cap {MAX_SYM_DEGREE}")
-    elems = [_raw(Transformation, bytes(img)) for img in itertools.permutations(range(n))]
-    return SemigroupSet(elems, closed=True, commutative=(n <= 2))
+    imgs = map(bytes, itertools.permutations(range(n)))
+    return _from_images(Transformation, imgs, closed=True, commutative=(n <= 2))
 
 
 def restrict_set(S: SemigroupSet, points: Iterable[int]) -> SemigroupSet:
@@ -355,7 +424,6 @@ def restrict_set(S: SemigroupSet, points: Iterable[int]) -> SemigroupSet:
 
 def image_union(S: SemigroupSet) -> tuple[int, ...]:
     """Union of the images of all elements (defined values only for partial maps)."""
-    out: set[int] = set()
-    for a in S:
-        out.update(a.image())
+    out = set(b"".join(S.images))
+    out.discard(S.degree)  # ⊥, in a partial map
     return tuple(sorted(out))

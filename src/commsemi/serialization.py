@@ -16,27 +16,32 @@ import hashlib
 import json
 from itertools import chain
 
-from .semigroups import _IMG, FULL, PARTIAL, SemigroupSet
-from .transform import PartialTransformation, Transformation, _checked_degree, _raw
-
-
-def to_jsonable(S: SemigroupSet) -> dict:
-    imgs = map(_IMG, S)
-    if S.kind == FULL:
-        rows = list(map(list, imgs))
-    else:
-        spell = (*range(S.degree), None).__getitem__  # the sentinel n is null on disk
-        rows = [list(map(spell, img)) for img in imgs]
-    return {"degree": S.degree, "kind": S.kind, "elements": rows}
+from .semigroups import FULL, PARTIAL, SemigroupSet, _from_images
+from .transform import PartialTransformation, Transformation, _checked_degree
 
 
 def dumps_semigroup(S: SemigroupSet) -> str:
-    """Canonical text form: sorted keys, no whitespace, canonical element order."""
-    return json.dumps(to_jsonable(S), sort_keys=True, separators=(",", ":"))
+    """Canonical text form: sorted keys, no whitespace, canonical element order.
+
+    The text is what ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    gives for the interchange object, written straight from the image bytes:
+    each byte is spelled through one table for the degree, in which the
+    sentinel n (only in partial maps) is ``null``.  The text's SHA-256 is kept on the
+    set for :func:`semigroup_digest`; the set is immutable, so it stays valid.
+    """
+    n = S.degree
+    spell = [*map(str, range(n)), "null"].__getitem__
+    rows = "],[".join([",".join(map(spell, img)) for img in S.images])
+    text = f'{{"degree":{n},"elements":[[{rows}]],"kind":"{S.kind}"}}'
+    S._digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    return text
 
 
 def semigroup_digest(S: SemigroupSet) -> str:
-    return hashlib.sha256(dumps_semigroup(S).encode("ascii")).hexdigest()
+    """SHA-256 of the canonical text, kept on the set from its last dump."""
+    if S._digest is None:
+        dumps_semigroup(S)
+    return S._digest
 
 
 def load_semigroup(obj) -> SemigroupSet:
@@ -59,9 +64,9 @@ def load_semigroup(obj) -> SemigroupSet:
     if not isinstance(rows, list) or not rows:
         raise ValueError("elements must be a non-empty list")
     cls = Transformation if kind == FULL else PartialTransformation
-    elems = _good_rows(rows, n, kind == PARTIAL)
-    if elems is None:
-        elems = []
+    imgs = _good_rows(rows, n, kind == PARTIAL)
+    if imgs is None:
+        imgs = []
         for i, row in enumerate(rows):  # some row is bad: find it and say why
             if not isinstance(row, list) or len(row) != n:
                 raise ValueError(f"element {i} must be a list of {n} images")
@@ -71,8 +76,8 @@ def load_semigroup(obj) -> SemigroupSet:
                         raise ValueError(f"element {i}: null image in a full map")
                 elif not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ValueError(f"element {i}: image {v!r} out of range 0..{n - 1}")
-            elems.append(cls(row).img)  # the row is good but holds an int subclass
-    S = SemigroupSet([_raw(cls, img) for img in elems])
+            imgs.append(cls(row).img)  # the row is good but holds an int subclass
+    S = _from_images(cls, imgs)
     if len(S) != len(rows):
         raise ValueError("elements contain duplicates")
     return S

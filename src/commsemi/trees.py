@@ -16,14 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .extremal import _check_null_shape, null_max, xi_alpha
+from .extremal import _check_null_shape, _in_null_shape, null_max, xi_alpha
 from .semigroups import (
     SemigroupSet,
+    _from_images,
     is_group,
     restrict_set,
     unique_idempotent,
 )
-from .transform import Transformation
+from .transform import Transformation, _raw
 
 LINEAR = "LINEAR"
 BRANCHING = "BRANCHING"
@@ -108,7 +109,7 @@ def s_partition(S: SemigroupSet) -> SPartition:
     n = S.degree
     blocks = [tuple(sorted(e.image()))]
     assigned = set(blocks[0])
-    imgs = [a.img for a in S]
+    imgs = S.images
     while len(assigned) < n:
         nxt = tuple(
             x
@@ -134,7 +135,7 @@ def words(S: SemigroupSet, sigma: Sequence[int]) -> set[Word]:
     """One word per element: letter i is the image of sigma[i]."""
     if sorted(sigma) != list(range(S.degree)):
         raise ValueError("sigma must be a permutation of the ground set")
-    out = {tuple(a.img[x] for x in sigma) for a in S}
+    out = {tuple(img[x] for x in sigma) for img in S.images}
     assert len(out) == len(S), "distinct maps must give distinct words"
     return out
 
@@ -304,10 +305,10 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
                 f"need {len(prefixes)} null maps on {r + 1} points "
                 f"but only {len(pool)} exist; the group is too large"
             )
-        M = SemigroupSet(pool.elements[: len(prefixes)], commutative=True)
+        M = _from_images(Transformation, pool.images[: len(prefixes)], commutative=True)
 
     # M is certified null on range(t), so every word starts with the zero letter
-    tails = sorted(tuple(a.img[1:]) for a in M)
+    tails = sorted(tuple(img[1:]) for img in M.images)
 
     t1_leaves = []
     for head, pre in zip(tails, prefixes):
@@ -343,17 +344,17 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
         )
 
     final_words = sorted(_relabel(tree_2.leaves))
-    elems = []
+    imgs = []
     for w in final_words:
         img = [0] * n
         for i, letter in enumerate(w):
             img[sigma[i]] = sigma[letter]
-        elems.append(Transformation(img))
+        imgs.append(bytes(img))
     # The flags below rest on this: the trunk block goes to sigma[0] and holds every image.
-    bad = _check_null_shape(elems, sigma[:trunk])
-    if bad is not None:
+    if not _in_null_shape(imgs, sigma[:trunk]):
+        bad = _check_null_shape([_raw(Transformation, img) for img in imgs], sigma[:trunk])
         raise RuntimeError(f"surgery output {bad!r} is not in the null shape on {sigma[:trunk]}")
-    result = SemigroupSet(elems, closed=True, commutative=True)
+    result = _from_images(Transformation, imgs, closed=True, commutative=True)
     if len(result) != len(S):
         raise RuntimeError("surgery did not preserve the element count")
     zero = Transformation.constant(n, sigma[0])

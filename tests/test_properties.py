@@ -1,26 +1,28 @@
 """Hypothesis properties of the element product, the embedding of partial
-maps, the canonical JSON form, the structure predicates and the commuting
-relation, on both kinds.
+maps, the set container, the canonical JSON form, the structure predicates
+and the commuting relation, on both kinds.
 
 Each test skips where hypothesis is not installed.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from commsemi.graphs import commuting_rows
 from commsemi.semigroups import SemigroupSet, closure, idempotents, is_group, is_nilpotent, is_null
-from commsemi.serialization import dumps_semigroup, load_semigroup
-from commsemi.transform import PartialTransformation, Transformation, embed_partial, product
-from test_semigroups import loop_is_group, loop_is_nilpotent
+from commsemi.serialization import dumps_semigroup, load_semigroup, semigroup_digest
+from commsemi.transform import PartialTransformation, Transformation, _raw, embed_partial, product
+from test_semigroups import loop_is_group, loop_is_nilpotent, loop_is_null
 
 SETTINGS = dict(max_examples=200, deadline=None, database=None, derandomize=True)
 
 
 def hypothesis_and_maps():
     """hypothesis, and a strategy for (kind, degree, k maps) with k from 1 to 5
-    unless ``count`` fixes it, the kind drawn from ``kinds``.
+    unless ``count`` fixes it, the kind drawn from ``kinds`` and the degree
+    from 1 to ``max_degree``.
 
     Partial maps are drawn with ``None`` as the undefined image, so the
     constructors' own checks run on every draw.
@@ -29,9 +31,9 @@ def hypothesis_and_maps():
     st = pytest.importorskip("hypothesis.strategies")
 
     @st.composite
-    def maps(draw, count=None, kinds=(Transformation, PartialTransformation)):
+    def maps(draw, count=None, kinds=(Transformation, PartialTransformation), max_degree=6):
         cls = draw(st.sampled_from(kinds))
-        n = draw(st.integers(1, 6))
+        n = draw(st.integers(1, max_degree))
         values = st.integers(0, n - 1)
         if cls is PartialTransformation:
             values = values | st.none()
@@ -81,7 +83,9 @@ def test_embed_partial_is_an_injective_homomorphism():
     prop()
 
 
-def test_canonical_json_round_trips():
+def test_set_is_its_image_bytes():
+    # the container keeps one image per distinct element, in canonical order,
+    # and builds its element objects once
     hypothesis, maps = hypothesis_and_maps()
 
     @hypothesis.settings(**SETTINGS)
@@ -89,12 +93,60 @@ def test_canonical_json_round_trips():
     def prop(case):
         cls, n, elems = case
         S = SemigroupSet(elems)
+        assert S.images == tuple(sorted({a.img for a in elems}))
+        assert S.kind == ("full" if cls is Transformation else "partial") and S.degree == n
+        first = S.elements
+        assert first == tuple(sorted(set(elems))) and S.elements is first
+        assert list(S) == list(first) and S[0] is first[0]
+        # duplicates collapse
+        T = SemigroupSet([*reversed(elems), *elems])
+        assert T == S and hash(T) == hash(S) and len(T) == len(set(elems))
+        # membership needs the kind as well as the bytes
+        other = PartialTransformation if cls is Transformation else Transformation
+        assert all(a in S for a in elems)
+        assert not any(_raw(other, a.img) in S for a in elems)
+        assert SemigroupSet([_raw(other, a.img) for a in elems]) != S
+        # mixed kinds still raise
+        with pytest.raises(TypeError, match="same kind"):
+            SemigroupSet([*elems, other.identity(n)])
+
+    prop()
+    assert Transformation([0, 1]) not in SemigroupSet([PartialTransformation([0, 1])])
+    assert PartialTransformation([0, 1]) not in SemigroupSet([Transformation([0, 1])])
+
+
+def reference_jsonable(S):
+    """The canonical object as the writer used to build it: one list per element,
+    with the sentinel n of a partial map as None."""
+    n = S.degree
+    rows = [[None if v == n else v for v in a.img] for a in S]
+    return {"degree": n, "kind": S.kind, "elements": rows}
+
+
+def test_canonical_json_round_trips():
+    # degrees up to 13: two-digit values, and at partial degree 10 the sentinel
+    # 10 (null) next to degree 11's point 10
+    hypothesis, maps = hypothesis_and_maps()
+    seen = set()
+
+    @hypothesis.settings(**SETTINGS)
+    @hypothesis.given(maps(max_degree=13))
+    def prop(case):
+        cls, n, elems = case
+        S = SemigroupSet(elems)
+        digest = semigroup_digest(SemigroupSet(elems))  # with no dump before it
         text = dumps_semigroup(S)
+        want = json.dumps(reference_jsonable(S), sort_keys=True, separators=(",", ":"))
+        assert text == want
+        assert digest == semigroup_digest(S) == hashlib.sha256(want.encode("ascii")).hexdigest()
         T = load_semigroup(json.loads(text))
         assert T == S and T.kind == S.kind and T.degree == n
         assert dumps_semigroup(T) == text
+        seen.add((cls, n >= 11 if cls is Transformation else n >= 10))
 
     prop()
+    kinds = (Transformation, PartialTransformation)
+    assert seen == {(cls, big) for cls in kinds for big in (False, True)}
 
 
 # the object-level reference loops take |S|² element products; larger closures
@@ -104,7 +156,7 @@ REFERENCE_SIZE = 150
 
 def test_structure_predicates_imply_their_idempotents():
     # null ⇒ nilpotent; nilpotent ⇒ one idempotent, the zero; group ⇒ one idempotent;
-    # and is_group, is_nilpotent equal their object-level references both ways
+    # and is_null, is_group, is_nilpotent equal their object-level references both ways
     hypothesis, maps = hypothesis_and_maps()
     seen = set()
     compared = set()
@@ -124,16 +176,18 @@ def test_structure_predicates_imply_their_idempotents():
         flags = {"null": null, "nilpotent": nilpotent, "group": group}
         seen.update((name, len(S) > 1) for name, flag in flags.items() if flag)
         if len(S) <= REFERENCE_SIZE:
+            assert is_null(S) == loop_is_null(S), S.elements
             assert group == loop_is_group(S), S.elements
             assert nilpotent == loop_is_nilpotent(S), S.elements
             if len(S) > 1:
-                compared.update({("group", group), ("nilpotent", nilpotent)})
+                compared.update({("null", null), ("group", group), ("nilpotent", nilpotent)})
 
     prop()
     # no implication holds only because its premise never occurs on a set of 2+
     assert {(name, True) for name in ("null", "nilpotent", "group")} <= seen, seen
-    # both outcomes of both rules meet their references on sets of 2+
-    assert compared == {(name, flag) for name in ("group", "nilpotent") for flag in (True, False)}
+    # both outcomes of each rule meet their references on sets of 2+
+    names = ("null", "group", "nilpotent")
+    assert compared == {(name, flag) for name in names for flag in (True, False)}
 
 
 def test_commuting_rows_match_the_products():

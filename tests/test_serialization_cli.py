@@ -28,7 +28,6 @@ from commsemi.serialization import (
     load_semigroup,
     load_semigroup_file,
     semigroup_digest,
-    to_jsonable,
     write_semigroup_file,
     write_xi_csv,
 )
@@ -79,7 +78,7 @@ class TestSerialization:
 
     def test_round_trip_partial(self):
         S = omega_pn(3, [1])
-        obj = to_jsonable(S)
+        obj = json.loads(dumps_semigroup(S))
         assert [None, None, None] in obj["elements"]
         T = load_semigroup(obj)
         assert T.elements == S.elements
@@ -286,6 +285,30 @@ class TestCliConstruct:
         assert cli.run(["construct", what, "--n", "4", option, text]) == 2
         err = capsys.readouterr().err
         assert f"error: {option} {bad} is out of range for degree 4" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["nullmax", "--n", "4", "--points", "1,1"],
+                "--points needs exactly 2 distinct points (α(4) = 2), got 1,1",
+            ),
+            (
+                ["nullid", "--n", "5", "--points", "1,2"],
+                "--points needs exactly 3 distinct points (α(5) = 3), got 1,2",
+            ),
+            (
+                ["omega", "--n", "4", "--b", "1,1"],
+                "--b needs exactly 2 distinct points (α(5) − 1 = 2), got 1,1",
+            ),
+        ],
+        ids=["nullmax-repeated", "nullid-too-few", "omega-repeated"],
+    )
+    def test_point_list_count_and_repeats(self, capsys, args, message):
+        # named as typed, 1-based, and only by the option the user gave
+        assert cli.run(["construct", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_nullmax_with_points(self, capsys):
         assert cli.run(["construct", "nullmax", "--n", "4", "--points", "2,1"]) == 0

@@ -63,7 +63,8 @@ from .semigroups import (
     is_group,
     is_null,
 )
-from .transform import _FILL, Transformation, is_idempotent, omega_power, product
+# omega_power is unused here, but perfbench/test_harness.py pins this binding.
+from .transform import _FILL, Transformation, _omega_image, _raw, omega_power, product
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -245,19 +246,20 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
         [(kind, items, commuting_rows(items))],
         f"max_commutative_idempotent({n},{kind})",
         _tag_commutative,
-        lambda T, _: all(is_idempotent(a) for a in T),
+        lambda T, _: len(idempotents(T)) == len(T),
     )
 
 
 def _omega_classes(S: SemigroupSet) -> dict:
     """S split by ω-power: idempotent f ↦ the elements whose powers reach f.
 
-    One ``omega_power`` call per element; each class keeps S's order.
+    Keys come in the order S first reaches their classes, members in S's
+    order.  The ω-powers are walked on image bytes, with no product as an element.
     """
-    classes: dict = {}
+    classes: dict[bytes, list] = {}
     for a in S:
-        classes.setdefault(omega_power(a), []).append(a)
-    return classes
+        classes.setdefault(_omega_image(a.img), []).append(a)
+    return {_raw(S.element_class, f): members for f, members in classes.items()}
 
 
 def max_unique_idempotent(n: int, kind: str) -> OracleResult:
@@ -391,11 +393,10 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
             imgs = _closure_images(list(dict.fromkeys(gens)), 400)
         except ClosureLimitExceeded:
             continue
-        tables = [a + fill for a in imgs]
-        e = _sole_idempotent(imgs, tables)
+        e = _sole_idempotent(imgs, n)
         if e is None or e == ident:
             continue
-        if not _all_commute(imgs, tables):  # cannot happen: commuting generators
+        if not _all_commute(imgs, [a + fill for a in imgs]):  # cannot happen: commuting generators
             raise RuntimeError("closure of commuting generators is not commutative")
         if best is None or len(imgs) > len(best):
             best = imgs

@@ -21,7 +21,7 @@ from .transform import (
     _FILL,
     _raw,
     compose,
-    is_idempotent as _is_idempotent_el,
+    is_idempotent as _is_idempotent_el,  # unused here; perfbench/test_harness.py pins it
     restrict as _restrict,
 )
 
@@ -293,7 +293,14 @@ def center(S: SemigroupSet) -> tuple[AnyTransformation, ...]:
 
 
 def idempotents(S: SemigroupSet) -> list[AnyTransformation]:
-    return [a for a in S if _is_idempotent_el(a)]
+    """The elements x of S with xx = x, in canonical order, tested on image bytes."""
+    return [_raw(S.element_class, e) for e in _idempotent_images(S.images, S.degree)]
+
+
+def _idempotent_images(imgs: Iterable[bytes], n: int) -> list[bytes]:
+    """The images x of degree n in ``imgs`` with xx = x, in order, one table at a time."""
+    fill = _FILL[n]
+    return [a for a in imgs if a.translate(a + fill) == a]
 
 
 def unique_idempotent(S: SemigroupSet) -> AnyTransformation:
@@ -326,9 +333,9 @@ def is_null(S: SemigroupSet) -> tuple[bool, AnyTransformation | None]:
     return False, None
 
 
-def _sole_idempotent(imgs: Sequence[bytes], tables: Sequence[bytes]) -> bytes | None:
-    """The image of the only x with x·x = x, or None; one product per element."""
-    es = [a for a, t in zip(imgs, tables) if a.translate(t) == a]
+def _sole_idempotent(imgs: Iterable[bytes], n: int) -> bytes | None:
+    """The only image x of degree n in ``imgs`` with xx = x, or None."""
+    es = _idempotent_images(imgs, n)
     return es[0] if len(es) == 1 else None
 
 
@@ -341,9 +348,8 @@ def is_nilpotent(S: SemigroupSet) -> bool:
     converse holds as every idempotent e = eᵏ and every za lie in S^k.
     """
     _require_closed(S, "is_nilpotent")
-    imgs, tables = _images_and_tables(S)
-    z = _sole_idempotent(imgs, tables)
-    return z is not None and set(map(z.translate, tables)) == {z}
+    z = _sole_idempotent(S.images, S.degree)
+    return z is not None and set(map(z.translate, _images_and_tables(S)[1])) == {z}
 
 
 def is_group(S: SemigroupSet) -> bool:
@@ -354,9 +360,8 @@ def is_group(S: SemigroupSet) -> bool:
     """
     if not S.is_closed():
         return False
-    imgs, tables = _images_and_tables(S)
-    e = _sole_idempotent(imgs, tables)
-    return e is not None and tuple(map(e.translate, tables)) == imgs
+    e = _sole_idempotent(S.images, S.degree)
+    return e is not None and tuple(map(e.translate, _images_and_tables(S)[1])) == S.images
 
 
 def classify_small_abelian_group(S: SemigroupSet) -> str:

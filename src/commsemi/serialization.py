@@ -88,8 +88,8 @@ def _good_rows(rows: list, n: int, partial: bool) -> list[bytes] | None:
 
     None means some row is not a list of n values that are each an ``int``
     in ``[0, n)`` or, in a partial file, null; the caller then finds it row
-    by row.  The checks stream over all rows at once in C, since a file can
-    hold ξ(n) rows, and build no flat copy of them.
+    by row.  The checks run over all rows at once in C, since a file can
+    hold ξ(n) rows.
     """
     if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
         return None
@@ -105,9 +105,11 @@ def _good_rows(rows: list, n: int, partial: bool) -> list[bytes] | None:
             return None
     if types != {int}:
         return None
-    if min(chain.from_iterable(rows)) < 0 or max(chain.from_iterable(rows)) >= n:
+    try:
+        imgs = list(map(bytes, rows))
+    except ValueError:  # a value outside 0..255: the row-by-row path names it
         return None
-    return list(map(bytes, rows))
+    return imgs if max(map(max, imgs)) < n else None
 
 
 def load_semigroup_file(path: str) -> SemigroupSet:

@@ -74,9 +74,6 @@ class _Map:
     def __hash__(self) -> int:
         return hash((type(self), self.img))
 
-    def is_idempotent(self) -> bool:
-        return is_idempotent(self)
-
 
 class Transformation(_Map):
     """A total self-map of {0, ..., n-1}, immutable and hashable."""
@@ -189,29 +186,23 @@ def is_idempotent(a: AnyTransformation) -> bool:
 
 
 def omega_power(a: AnyTransformation) -> AnyTransformation:
-    """The unique idempotent among the powers a, a², a³, ...
+    """The idempotent power a^ω: the only idempotent among a, a², a³, ...
 
-    Powers are walked sequentially with first-repeat detection; once the
-    index i and period p of the power sequence are known, the idempotent is
-    a^m for the unique multiple m of p in [i, i+p), which has already been
-    computed.  (Squaring alone can skip the idempotent: for a 3-cycle the
-    exponents 2^k are never divisible by 3.)  The sequence of powers of a
-    fixed map is finite, so the walk always terminates.
+    aᵏ is idempotent only for k ≥ index(a) with period(a) | k, and all such
+    powers are equal, so a^ω is the first idempotent in the walk a, a², ...
     """
-    powers: list[AnyTransformation] = [a]
-    seen: dict[AnyTransformation, int] = {a: 1}
-    while True:
-        nxt = product(powers[-1], a)
-        k = len(powers) + 1
-        if nxt in seen:
-            index = seen[nxt]
-            period = k - index
-            m = index if index % period == 0 else period * (index // period + 1)
-            e = powers[m - 1]
-            assert product(e, e) == e
-            return e
-        seen[nxt] = k
-        powers.append(nxt)
+    if not isinstance(a, _Map):
+        raise TypeError(f"omega_power takes a transformation, not {type(a).__name__}")
+    return _raw(type(a), _omega_image(a.img))
+
+
+def _omega_image(img: bytes) -> bytes:
+    """The image of a^ω for a's image: the first p = a, a², ... with pp = p."""
+    fill = _FILL[len(img)]
+    p, t = img, img + fill
+    while p.translate(p + fill) != p:
+        p = p.translate(t)
+    return p
 
 
 def restrict(a: Transformation, points: Iterable[int]) -> Transformation:

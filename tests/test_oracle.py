@@ -11,6 +11,7 @@ from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, 
 from commsemi.oracle import (
     ABELIAN_ORDERS,
     _checked_set,
+    _omega_classes,
     _tag_commutative,
     _tag_null,
     closure_check_stats,
@@ -28,13 +29,15 @@ from commsemi.semigroups import (
     SemigroupSet,
     classify_small_abelian_group,
     closure,
+    enumerate_full,
+    enumerate_partial,
     idempotents,
     is_group,
     is_null,
     unique_idempotent,
 )
 from commsemi.serialization import semigroup_digest
-from commsemi.transform import PartialTransformation, Transformation, _raw, product
+from commsemi.transform import PartialTransformation, Transformation, _raw, omega_power, product
 
 
 def holds(result, S):
@@ -131,6 +134,15 @@ class TestMaxUniqueIdempotent:
         assert Counter(r.tags) == {
             f"NULL:OMEGA({a},{b})": 1 for a in range(4) for b in range(a + 1, 4)
         }
+
+
+@pytest.mark.parametrize("enum, n", [(enumerate_full, 4), (enumerate_partial, 3)], ids=["T4", "P3"])
+def test_omega_classes_match_omega_power(enum, n):
+    classes = _omega_classes(enum(n))
+    expected = {}
+    for a in enum(n):
+        expected.setdefault(omega_power(a), []).append(a)
+    assert list(classes.items()) == list(expected.items())  # keys, key order, member order
 
 
 class TestMaxNull:

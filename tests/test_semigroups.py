@@ -381,8 +381,7 @@ class TestIdempotents:
         assert len(idempotents(enumerate_partial(2))) == 6
 
     def test_counts_match_brute(self):
-        for n in (2, 3, 4):
-            S = enumerate_full(n)
+        for S in (*map(enumerate_full, (2, 3, 4)), *map(enumerate_partial, (2, 3))):
             brute = [a for a in S if a * a == a]
             assert idempotents(S) == brute
 

@@ -165,6 +165,8 @@ class TestSerialization:
             ("full", -1, "element 4095: image -1 out of range 0..9"),
             ("full", 10, "element 4095: image 10 out of range 0..9"),
             ("full", None, "element 4095: null image in a full map"),
+            ("full", 256, "element 4095: image 256 out of range 0..9"),  # past a byte
+            ("full", 2**70, f"element 4095: image {2**70} out of range 0..9"),
             ("partial", True, "element 4095: image True out of range 0..8"),
             ("partial", 1.0, "element 4095: image 1.0 out of range 0..8"),
             ("partial", -1, "element 4095: image -1 out of range 0..8"),

@@ -108,7 +108,7 @@ def test_identity_and_constant():
 def test_partial_identity_on():
     e = PartialTransformation([None, 1, None, 3])
     assert tuple(e.img) == (4, 1, 4, 3)
-    assert e.is_idempotent()
+    assert is_idempotent(e)
     assert e.domain() == (1, 3)
     assert e.image() == (1, 3)
 
@@ -191,6 +191,8 @@ def brute_omega(a):
 def test_omega_power_frozen_example():
     a = Transformation([1, 0, 0])
     assert omega_power(a) == Transformation([0, 1, 1])
+    with pytest.raises(TypeError):
+        omega_power((1, 0, 0))
 
 
 def test_omega_power_of_permutation_is_identity():
@@ -232,6 +234,15 @@ def test_omega_power_matches_brute_force_sampled():
             tuple(rng.choice([None] + list(range(n))) for _ in range(n))
         )
         assert omega_power(a) == brute_omega(a)
+    # degree 255, where ⊥ = 255 fills a one-byte table: a tail of 238 points
+    # into cycles of lengths 2, 3, 5 and 7 (index 238, period 210) ...
+    cycles = [1, 0, 3, 4, 2, 6, 7, 8, 9, 5, *range(11, 17), 10]
+    a = Transformation([*cycles, 0, *range(17, 254)])
+    assert omega_power(a) == brute_omega(a) != Transformation.identity(255)
+    # ... and a partial map whose points fall into cycles of lengths 3 and 5
+    # along a tail of 100, or into ⊥ along a tail of 147 (index 147, period 15)
+    a = PartialTransformation([1, 2, 0, 4, 5, 6, 7, 3, 0, *range(8, 107), None, *range(108, 254)])
+    assert omega_power(a) == brute_omega(a)
 
 
 def test_omega_power_is_idempotent_and_in_cyclic_subsemigroup():

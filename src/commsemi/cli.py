@@ -57,14 +57,13 @@ def _fmt_map(a) -> str:
     return " ".join("-" if v == n else str(v + 1) for v in a.img)
 
 
-def _print_set(S: SemigroupSet, out=None) -> None:
-    out = out or sys.stdout
-    print(f"kind={S.kind} degree={S.degree} size={len(S)}", file=out)
+def _print_set(S: SemigroupSet) -> None:
+    print(f"kind={S.kind} degree={S.degree} size={len(S)}")
     if len(S) <= _PRINT_LIMIT:
         for a in S:
-            print(f"  {_fmt_map(a)}", file=out)
+            print(f"  {_fmt_map(a)}")
     else:
-        print(f"  ({len(S)} elements; use --out FILE for the full set)", file=out)
+        print(f"  ({len(S)} elements; use --out FILE for the full set)")
 
 
 def _parse_points(text: str, n: int, option: str) -> list[int]:

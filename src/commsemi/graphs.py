@@ -264,35 +264,32 @@ def max_clique(g: CommGraph) -> CliqueResult:
 def girth(g: CommGraph) -> float | int:
     """Length of a shortest cycle, or math.inf in a forest.
 
-    One breadth-first search per root; every non-tree edge (u, w) seen from
-    root v yields the candidate d[u] + d[w] + 1, and the minimum over all
-    roots is exact because every shortest cycle is seen from its own
-    vertices.  Stops instantly once a triangle is known.
+    One breadth-first search per root, one distance layer at a time on the
+    bit rows (Itai & Rodeh 1978).  An edge inside layer k closes a cycle of
+    length at most 2k+1; failing that, a fresh vertex reached from two
+    vertices of layer k closes one of length at most 2k+2.  A root stops at
+    its first such bound, or once 2k+1 reaches the best so far.  The minimum
+    over all roots is exact: from a vertex of a shortest cycle, that cycle
+    shows up at its own length.  Stops once a triangle is known.
     """
-    n = g.vertex_count
-    if n == 0:
-        return INFINITY
-    neighbors = [_bits_to_list(row) for row in g.adj]
+    adj = g.adj
     best: float | int = INFINITY
-    for root in range(n):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier and best > 3:
-            nxt = []
-            for u in frontier:
-                if 2 * dist[u] >= best - 1:
-                    continue
-                for w in neighbors[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cand = dist[u] + dist[w] + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
+    for root in range(len(adj)):
+        seen = layer = 1 << root
+        k = 0
+        while layer and 2 * k + 1 < best:
+            inner = met = nxt = 0
+            for u in _bits_to_list(layer):
+                inner |= adj[u] & layer
+                fresh = adj[u] & ~seen
+                met |= fresh & nxt
+                nxt |= fresh
+            if inner or met:
+                best = 2 * k + 1 if inner else 2 * k + 2
+                break
+            seen |= nxt
+            layer = nxt
+            k += 1
         if best == 3:
             return 3
     return best

@@ -51,7 +51,7 @@ class SemiTree:
     leaves: tuple[Word, ...]
     sigma: tuple[int, ...] | None = None
     _children: dict[Word, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -79,9 +79,6 @@ class SemiTree:
                     out.setdefault(w[:d], set()).add(w[d])
             self._children = {node: tuple(sorted(ls)) for node, ls in out.items()}
         return self._children
-
-    def nodes_at_depth(self, d: int) -> list[Word]:
-        return sorted({w[:d] for w in self.leaves})
 
 
 @dataclass(frozen=True)
@@ -145,20 +142,18 @@ def build_tree(S: SemigroupSet, sigma: Sequence[int]) -> SemiTree:
 
 
 def level_profile(t: SemiTree) -> LevelProfile:
-    kinds = []
-    max_arcs = 1
-    children = t.children()
-    for d in range(t.depth):
-        degs = [len(children[node]) for node in t.nodes_at_depth(d)]
-        m = max(degs)
-        kinds.append(LINEAR if m == 1 else BRANCHING)
-        max_arcs = max(max_arcs, m)
-    trunk = 0
-    for k in kinds:
-        if k != LINEAR:
-            break
-        trunk += 1
-    return LevelProfile(tuple(kinds), max_arcs, trunk)
+    """Level kinds and trunk, from one pass over ``t.children()``.
+
+    ``widest[d]`` is the most arcs out of any depth-d node, and level d + 1
+    is LINEAR iff it is 1.  A tree of depth 0 has no levels and
+    ``max_branching_arcs`` 1.
+    """
+    widest = [0] * t.depth
+    for node, letters in t.children().items():
+        widest[len(node)] = max(widest[len(node)], len(letters))
+    kinds = tuple(LINEAR if w == 1 else BRANCHING for w in widest)
+    trunk = kinds.index(BRANCHING) if BRANCHING in kinds else len(kinds)
+    return LevelProfile(kinds, max(widest, default=1), trunk)
 
 
 def validate_tree_lemmas(t: SemiTree, r: int) -> None:
@@ -221,37 +216,15 @@ class NullifyTrace:
     result: SemigroupSet
 
 
-def _delete_positions(w: Word, positions: Sequence[int]) -> Word:
-    drop = set(positions)
-    return tuple(v for i, v in enumerate(w) if i not in drop)
-
-
-def _relabel(leaves: Sequence[Word]) -> list[Word]:
+def _relabel(t: SemiTree) -> list[Word]:
     """Replace letters by child positions: 0 on single arcs, 0..s−1 at branchings.
 
-    Children are visited in ascending current-letter order, which coincides
-    with ordering sibling subtrees by their lexicographically least leaf.
+    The letter at depth d of leaf w becomes its index in ``children[w[:d]]``.
+    Those tuples are sorted, so the relabelling keeps the order of
+    ``t.leaves`` and the result is sorted too.
     """
-    out: list[Word] = []
-    _relabel_group(sorted(leaves), 0, len(leaves[0]), [], out)
-    return out
-
-
-def _relabel_group(group: list[Word], d: int, depth: int, acc: list[int], out: list[Word]) -> None:
-    """Relabel the leaves of one subtree, whose letters before d are ``acc``.
-
-    (Module-level: a recursive closure is a reference cycle.)
-    """
-    if d == depth:
-        out.append(tuple(acc))
-        return
-    by: dict[int, list[Word]] = {}
-    for w in group:
-        by.setdefault(w[d], []).append(w)
-    for new_letter, letter in enumerate(sorted(by)):
-        acc.append(new_letter)
-        _relabel_group(by[letter], d + 1, depth, acc, out)
-        acc.pop()
+    children = t.children()
+    return [tuple(children[w[:d]].index(w[d]) for d in range(len(w))) for w in t.leaves]
 
 
 def _validate_m(M: SemigroupSet, r: int, t: int, needed: int) -> None:
@@ -319,14 +292,13 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
     if tree_1.leaf_count != len(S):
         raise RuntimeError("leaf count changed while swapping the top levels")
 
-    to_contract = [
-        lvl
-        for lvl in range(profile_1.trunk_length + 1, n + 1)
-        if profile_1.kinds[lvl - 1] == LINEAR
-    ]
-    drop = sorted((lvl - 1 for lvl in to_contract), reverse=True)
+    # 0-based positions of the linear levels below the trunk
+    drop = {i for i in range(profile_1.trunk_length, n) if profile_1.kinds[i] == LINEAR}
     contracted = len(drop)
-    t2_leaves = [(-1,) * contracted + _delete_positions(w, drop) for w in tree_1.leaves]
+    t2_leaves = [
+        (-1,) * contracted + tuple(v for i, v in enumerate(w) if i not in drop)
+        for w in tree_1.leaves
+    ]
     tree_2 = SemiTree(tuple(t2_leaves))
     profile_2 = level_profile(tree_2)
     if tree_2.leaf_count != len(S):
@@ -343,7 +315,7 @@ def nullify_trace(S: SemigroupSet, m_override: SemigroupSet | None = None) -> Nu
             f"has only {trunk}; the result could not be null"
         )
 
-    final_words = sorted(_relabel(tree_2.leaves))
+    final_words = _relabel(tree_2)
     imgs = []
     for w in final_words:
         img = [0] * n

@@ -43,7 +43,7 @@ from commsemi.transform import (
     omega_power,
     product,
 )
-from commsemi.trees import _relabel
+from commsemi.trees import SemiTree, _relabel
 
 
 def graph_of(n, edges):
@@ -60,6 +60,58 @@ def random_graph(rng, n, p):
     return graph_of(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     ).adj
+
+
+def cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def girth_cases(rng):
+    """Seeded sparse graphs of girth 3–9 and ∞, vertices shuffled.
+
+    C4–C9, K3,3, the Petersen graph, and random trees with and without one
+    chord.
+    """
+    shapes = [(n, cycle_edges(n)) for n in range(4, 10)]
+    shapes.append((6, [(u, v) for u in range(3) for v in range(3, 6)]))
+    petersen = cycle_edges(5) + [(i, i + 5) for i in range(5)]
+    shapes.append((10, petersen + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
+    for _ in range(10):
+        n = rng.randint(3, 16)
+        tree = [(v, rng.randrange(v)) for v in range(1, n)]
+        shapes.append((n, tree))
+        while True:
+            u, v = rng.sample(range(n), 2)
+            if (u, v) not in tree and (v, u) not in tree:
+                break
+        shapes.append((n, tree + [(u, v)]))
+    for n, edges in shapes:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield graph_of(n, [(perm[u], perm[v]) for u, v in edges]).adj
+
+
+def reference_girth(adj):
+    """Girth by definition: min over edges uv of 1 + dist(u, v) in G − uv."""
+    n = len(adj)
+    best = math.inf
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not adj[u] >> v & 1:
+                continue
+            dist = {u: 0}
+            frontier = [u]
+            while frontier and v not in dist:
+                nxt = []
+                for x in frontier:
+                    for y in range(n):
+                        if adj[x] >> y & 1 and {x, y} != {u, v} and y not in dist:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            if v in dist:
+                best = min(best, 1 + dist[v])
+    return best
 
 
 def pair_rows(items):
@@ -410,6 +462,7 @@ class TestNetworkxCrossCheck:
             yield build(S).adj
         for _ in range(20):
             yield random_graph(rng, rng.randint(0, 25), rng.choice([0.08, 0.2, 0.5]))
+        yield from girth_cases(random.Random(22))
 
     @staticmethod
     def to_networkx(nx, adj):
@@ -593,6 +646,14 @@ class TestGirth:
         assert girth(graph_of(4, k4)) == 3
         assert girth(graph_of(3, [])) == math.inf
 
+    def test_sparse_graphs_against_the_definition(self):
+        seen = set()
+        for adj in girth_cases(random.Random(22)):
+            want = reference_girth(adj)
+            assert girth(CommGraph(enumerate_full(2), tuple(range(len(adj))), adj, ())) == want
+            seen.add(want)
+        assert seen >= {4, 5, 6, 7, 8, 9, math.inf}
+
     def test_transformation_graphs(self):
         assert girth(build(enumerate_full(2))) == math.inf
         assert girth(build(enumerate_partial(2))) == math.inf
@@ -767,7 +828,7 @@ T3_ROWS = commuting_rows(enumerate_full(3).elements)
         lambda: max_clique_bits(T3_ROWS, 4),
         lambda: max_clique_bits(T3_ROWS, ties=True),
         lambda: shortest_left_path(enumerate_full(3)),
-        lambda: _relabel([(0, 1, 2), (0, 1, 0), (2, 0, 1)]),
+        lambda: _relabel(SemiTree(((0, 1, 2), (0, 1, 0), (2, 0, 1)))),
         lambda: max_null(4, "full"),
         lambda: commuting_rows(enumerate_full(4).elements),
         lambda: commuting_rows(enumerate_partial(3).elements),

@@ -62,6 +62,42 @@ EXAMPLE_NULL_IMGS = {
 }
 
 
+def random_word_sets(rng):
+    """Seeded leaf sets: a single leaf, an all-linear chain, depth 0, then random ones."""
+    yield [(2, 0, 1, 1)]
+    yield [(0,) * 6]
+    yield [()]
+    for _ in range(60):
+        depth = rng.randint(1, 6)
+        alphabet = rng.randint(1, 4)
+        yield [
+            tuple(rng.randrange(alphabet) for _ in range(depth))
+            for _ in range(rng.randint(1, 25))
+        ]
+
+
+def definition_profile(leaves):
+    """Level d + 1 is LINEAR iff every depth-d node has one child; trunk = leading LINEAR run."""
+    depth = len(leaves[0])
+    arcs = [
+        [len({w[: d + 1] for w in leaves if w[:d] == node}) for node in {w[:d] for w in leaves}]
+        for d in range(depth)
+    ]
+    kinds = tuple("LINEAR" if max(a) == 1 else "BRANCHING" for a in arcs)
+    trunk = 0
+    while trunk < depth and kinds[trunk] == "LINEAR":
+        trunk += 1
+    return kinds, max((max(a) for a in arcs), default=1), trunk
+
+
+def definition_relabel(leaves):
+    """Letter d of w becomes the number of smaller letters at depth d under w[:d]."""
+    def smaller(w, d):
+        return len({v[d] for v in leaves if v[:d] == w[:d] and v[d] < w[d]})
+
+    return sorted(tuple(smaller(w, d) for d in range(len(w))) for w in set(leaves))
+
+
 def example_semigroup():
     return SemigroupSet([Transformation(img) for img in EXAMPLE_IMGS])
 
@@ -136,7 +172,6 @@ class TestWordsAndTrees:
         assert t.leaf_count == 3
         assert t.depth == 2
         assert t.children() == {(): (0, 1), (0,): (0, 1), (1,): (0,)}
-        assert t.nodes_at_depth(1) == [(0,), (1,)]
         with pytest.raises(ValueError):
             SemiTree(())
         with pytest.raises(ValueError):
@@ -147,6 +182,17 @@ class TestWordsAndTrees:
         assert p.kinds == ("LINEAR", "LINEAR", "LINEAR")
         assert p.trunk_length == 3
         assert p.max_branching_arcs == 1
+
+    def test_level_profile_and_relabel_match_their_definitions(self):
+        rng = random.Random(17)
+        for leaves in random_word_sets(rng):
+            t = SemiTree(tuple(leaves))
+            p = level_profile(t)
+            assert (p.kinds, p.max_branching_arcs, p.trunk_length) == definition_profile(leaves)
+            relabelled = trees._relabel(t)
+            assert relabelled == definition_relabel(leaves)
+            # the relabelling keeps the shape of the tree
+            assert level_profile(SemiTree(tuple(relabelled))) == p
 
     def test_lemma_violation(self):
         # a branching at level 3 labelled by position 2 is too deep
@@ -281,8 +327,8 @@ class TestNullifyErrors:
     def test_output_is_certified_before_it_is_flagged(self, monkeypatch):
         relabel = trees._relabel
 
-        def one_wrong_letter(leaves):
-            out = relabel(leaves)
+        def one_wrong_letter(t):
+            out = relabel(t)
             out[-1] = (1,) + out[-1][1:]  # sigma[0] no longer goes to sigma[0]
             return out
 

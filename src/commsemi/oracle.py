@@ -484,7 +484,7 @@ CLAIMS: dict[str, Claim] = {
     "comm-max": Claim(
         _published("comm-max", _comm, (2, 6), (2, 5)),
         lambda n, kind: _witnessed(max_commutative(n, kind)),
-        {"full": (1, 5), "partial": (1, 4)},
+        {"full": (1, 6), "partial": (1, 4)},
     ),
     "idem-max": Claim(
         _published("idem-max", _comm, (1, math.inf), (1, math.inf)),
@@ -509,7 +509,7 @@ CLAIMS: dict[str, Claim] = {
     "pclique": Claim(
         _published("pclique", _pclique, (2, 6), (2, 5)),
         _compute_pclique,
-        {"full": (2, 5), "partial": (2, 4)},
+        {"full": (2, 6), "partial": (2, 4)},
     ),
     "girth": Claim(
         _published("girth", lambda n, full: math.inf if n == 2 else 3, _FROM_2, _FROM_2),

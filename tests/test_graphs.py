@@ -14,6 +14,7 @@ from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
     _bits_to_list,
+    _color_bits,
     _color_sort,
     _degeneracy_order,
     build,
@@ -26,8 +27,8 @@ from commsemi.graphs import (
     shortest_left_path,
     write_adjacency,
 )
-from commsemi.oracle import _omega_classes, max_commutative, max_null
-from commsemi.serialization import write_semigroup_file
+from commsemi.oracle import _omega_classes, max_abelian_subgroup, max_commutative, max_null
+from commsemi.serialization import semigroup_digest, write_semigroup_file
 from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
@@ -447,9 +448,103 @@ class TestDegeneracyOrder:
             adj = build(S).adj
             assert _degeneracy_order(adj, len(adj)) == strip_order(adj, len(adj))
 
+    def test_degrees_over_many_planes(self):
+        # maximum degrees from 19 to 147 need 5 to 8 planes of counters, so
+        # removals carry across several powers of two
+        rng = random.Random(21)
+        planes = set()
+        for n in (40, 70, 100, 150):
+            for p in (0.3, 0.6, 0.95):
+                adj = random_graph(rng, n, p)
+                planes.add(max(row.bit_count() for row in adj).bit_length())
+                assert _degeneracy_order(adj, n) == strip_order(adj, n)
+        assert planes == {5, 6, 7, 8}
+
+    def test_stars(self):
+        # K_{1,m} for m around a power of two: stripping the leaves counts
+        # the hub's degree down across that power, carrying over every plane
+        for j in range(1, 7):
+            for m in (2**j - 1, 2**j, 2**j + 1):
+                for hub in (0, m // 2, m):
+                    adj = graph_of(m + 1, [(hub, u) for u in range(m + 1) if u != hub]).adj
+                    order = _degeneracy_order(adj, m + 1)
+                    assert order == strip_order(adj, m + 1)
+
+    def test_isolated_vertices(self):
+        rng = random.Random(34)
+        for _ in range(30):
+            n = rng.randint(2, 60)
+            adj = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]))
+            for u in rng.sample(range(n), rng.randint(1, n)):
+                for w in _bits_to_list(adj[u]):
+                    adj[w] &= ~(1 << u)
+                adj[u] = 0
+            assert _degeneracy_order(adj, n) == strip_order(adj, n)
+
+
     def test_full_4_witness_is_pinned(self):
         r = max_clique(build(enumerate_full(4)))
         assert (r.size, r.witness) == (7, (0, 3, 8, 11, 16, 19, 24))
+
+
+class TestColorBits:
+    """The class-at-a-time coloring is the greedy coloring of an ascending list."""
+
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        assert _color_bits(0, []) == ([], [])
+        for _ in range(200):
+            n = rng.randint(1, 80)
+            adj = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.95]))
+            P = rng.getrandbits(n)
+            assert _color_bits(P, adj) == _color_sort(_bits_to_list(P), adj)
+
+    def test_subsets_of_commuting_rows(self):
+        rng = random.Random(17)
+        for S in (enumerate_full(4), enumerate_partial(3)):
+            adj = commuting_rows(S.elements)
+            n = len(adj)
+            for _ in range(40):
+                P = rng.getrandbits(n)
+                if rng.random() < 0.5:
+                    P &= rng.getrandbits(n)  # sparser
+                assert _color_bits(P, adj) == _color_sort(_bits_to_list(P), adj)
+            # a vertex's neighbourhood, as the search colors it below the root
+            for v in rng.sample(range(n), 20):
+                assert _color_bits(adj[v], adj) == _color_sort(_bits_to_list(adj[v]), adj)
+
+
+class TestSearchTrajectory:
+    """The search tree on the graphs the oracle and the benchmark search.
+
+    Node counts and witnesses move whenever the root order, the colorings
+    or the cuts change, even when the clique number does not.
+    """
+
+    @pytest.mark.parametrize(
+        "S, vertices, size, nodes, ties, tie_nodes",
+        [
+            (lambda: enumerate_full(5), 3124, 15, 29, 5, 110),
+            (lambda: enumerate_partial(4), 623, 14, 15, 1, 17),
+        ],
+        ids=["T5-Z", "P4-Z"],
+    )
+    def test_nodes_and_witness(self, S, vertices, size, nodes, ties, tie_nodes):
+        adj = build(S()).adj
+        assert len(adj) == vertices
+        one = max_clique_bits(adj)
+        every = max_clique_bits(adj, ties=True)
+        assert (one[0], len(one[1]), one[2]) == (size, 1, nodes)
+        assert (every[0], len(every[1]), every[2]) == (size, ties, tie_nodes)
+        assert every[1][0] == one[1][0]
+
+    def test_abelian_witness_of_sym6_is_pinned(self):
+        r = max_abelian_subgroup(6)
+        digests = "\n".join(semigroup_digest(T) for T in r.maximizers)
+        assert r.size == 9
+        assert hashlib.sha256(digests.encode("utf-8")).hexdigest() == (
+            "2074369ba7b950b775111eafa38ff6497c484da09b0650742653e440c431c1ec"
+        )
 
 
 class TestNetworkxCrossCheck:

@@ -180,7 +180,7 @@ class TestMaxNull:
             assert holds(r, omega_pn(3, [b]))
 
 
-# Every maximizer of the four clique searches at the cheap degrees:
+# Every maximizer of the four clique searches at the cheap degrees, and at T6:
 # (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
 # semigroup digests of the maximizers, in the order returned).
 PINNED_MAXIMIZERS = [
@@ -196,6 +196,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative, 4, "full", 8,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
      "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative, 6, "full", 32,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5",
+     "60a666b13ac775ae8584a303c91d3f1e5b78c1ebc1e736ee382cd2de737e223a"),
     (max_commutative, 1, "partial", 2,
      "EIX",
      "14f7f02a1d5ade08e6b4ca4afc1b727950ed5313f9ca95b90fe063ebcefa88ea"),
@@ -478,7 +481,7 @@ class TestRandomGenerator:
 class TestCaps:
     def test_degree_caps(self):
         with pytest.raises(ValueError):
-            max_commutative(6, "full")
+            max_commutative(7, "full")
         with pytest.raises(ValueError):
             max_commutative(5, "partial")
         with pytest.raises(ValueError):

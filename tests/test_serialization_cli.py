@@ -732,7 +732,8 @@ class TestCliVerify:
         assert runs[0][1] == 9 and runs[0][2]
 
     def test_cap_exceeded(self, capsys):
-        assert cli.run(["verify", "--claim", "pclique", "--n", "6", "--kind", "full"]) == 2
+        # published at partial 5, computed to partial 4
+        assert cli.run(["verify", "--claim", "pclique", "--n", "5", "--kind", "partial"]) == 2
         assert "capped" in capsys.readouterr().err
 
     def test_unknown_claim(self, capsys):
@@ -749,12 +750,12 @@ class TestCliVerify:
 
 # Degrees `verify` accepts, per claim and kind (inclusive ranges; None = none).
 VERIFY_RANGES = {
-    "comm-max": {"full": (2, 5), "partial": (2, 4)},
+    "comm-max": {"full": (2, 6), "partial": (2, 4)},
     "idem-max": {"full": (1, 6), "partial": (1, 5)},
     "unique-idem-max": {"full": (1, 6), "partial": (1, 5)},
     "null-max": {"full": (1, 6), "partial": (1, 5)},
     "abelian-max": {"full": (2, 6), "partial": None},
-    "pclique": {"full": (2, 5), "partial": (2, 4)},
+    "pclique": {"full": (2, 6), "partial": (2, 4)},
     "girth": {"full": (2, 5), "partial": (2, 4)},
     "knit": {"full": (2, 6), "partial": (2, 5)},
     "xi-table": {"full": (1, 20), "partial": (1, 20)},

@@ -159,8 +159,15 @@ def _fill_set(
     closed: bool | None,
     commutative: bool | None,
 ) -> None:
-    """Give S the distinct ``imgs`` of elements of class ``cls``, in canonical order."""
-    images = tuple(sorted(set(imgs)))
+    """Give S the distinct ``imgs`` of elements of class ``cls``, in canonical order.
+
+    Images that already arrive strictly ascending (the enumerators, and every
+    file this package wrote) are kept as they come, after one comparison per
+    adjacent pair; anything else is deduplicated and sorted.
+    """
+    images = tuple(imgs)
+    if not all(map(operator.lt, images, images[1:])):
+        images = tuple(sorted(set(images)))
     if not images:
         raise ValueError("a SemigroupSet needs at least one element")
     if len(set(map(len, images))) != 1:
@@ -397,6 +404,27 @@ def enumerate_partial(n: int) -> SemigroupSet:
         raise ValueError(f"degree {n} exceeds the partial-enumeration cap {MAX_PARTIAL_DEGREE}")
     imgs = map(bytes, itertools.product(range(n + 1), repeat=n))
     return _from_images(PartialTransformation, imgs, closed=True, commutative=(n <= 1))
+
+
+def _idempotent_maps(n: int, kind: str) -> SemigroupSet:
+    """The idempotents of T_n or P_n, generated without the rest of the semigroup.
+
+    A map e is idempotent iff it fixes each point of its image Y, so each
+    idempotent is one choice per point: x itself for x ∈ Y, and a value in
+    Y (or ⊥, in P_n) for x ∉ Y.  That walks every Y, nonempty in T_n, and
+    makes Σ_k C(n,k)·k^(n−k) maps in T_n and Σ_k C(n,k)·(k+1)^(n−k) in P_n.
+    """
+    partial = kind == "partial"
+    cls = PartialTransformation if partial else Transformation
+
+    def images():
+        for k in range(0 if partial else 1, n + 1):
+            for Y in itertools.combinations(range(n), k):
+                spare = Y + (n,) if partial else Y
+                slots = [(x,) if x in Y else spare for x in range(n)]
+                yield from map(bytes, itertools.product(*slots))
+
+    return _from_images(cls, images())
 
 
 def enumerate_sym(n: int) -> SemigroupSet:

@@ -27,6 +27,8 @@ from commsemi.oracle import (
 from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
+    _idempotent_images,
+    _idempotent_maps,
     classify_small_abelian_group,
     closure,
     enumerate_full,
@@ -92,6 +94,26 @@ class TestMaxCommutativeIdempotent:
             assert r.size == 2**n
             assert r.tags == ("EIX",)
             assert r.maximizers[0].elements == e_ix(n).elements
+
+    @pytest.mark.parametrize(
+        "kind, enumerate_all, top",
+        [("full", enumerate_full, 6), ("partial", enumerate_partial, 5)],
+    )
+    def test_generated_pool_is_the_filtered_one(self, kind, enumerate_all, top):
+        # image for image and in order, so the search sees the same pool
+        for n in range(1, top + 1):
+            pool = _idempotent_maps(n, kind)
+            assert pool.images == tuple(_idempotent_images(enumerate_all(n).images, n))
+            assert pool.kind == kind
+
+    def test_generated_pool_sizes(self):
+        # Σ_k C(n,k)·k^(n−k) idempotents in T_n, and Σ_k C(n,k)·(k+1)^(n−k) in P_n
+        assert [len(_idempotent_maps(n, "full")) for n in range(1, 8)] == [
+            1, 3, 10, 41, 196, 1057, 6322
+        ]
+        assert [len(_idempotent_maps(n, "partial")) for n in range(1, 7)] == [
+            2, 6, 23, 104, 537, 3100
+        ]
 
 
 class TestMaxUniqueIdempotent:
@@ -180,7 +202,8 @@ class TestMaxNull:
             assert holds(r, omega_pn(3, [b]))
 
 
-# Every maximizer of the four clique searches at the cheap degrees, and at T6:
+# Every maximizer of the four clique searches at the cheap degrees, comm-max
+# at T6, and idem-max at its top degrees T7 and P6:
 # (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
 # semigroup digests of the maximizers, in the order returned).
 PINNED_MAXIMIZERS = [
@@ -220,6 +243,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 4, "full", 8,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
      "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative_idempotent, 7, "full", 64,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5 GAMMA:6",
+     "bcf3b517dccee8984d0ebd2235ca57a3fa9b6272af81377de5ff1f53b581abca"),
     (max_commutative_idempotent, 1, "partial", 2,
      "EIX",
      "14f7f02a1d5ade08e6b4ca4afc1b727950ed5313f9ca95b90fe063ebcefa88ea"),
@@ -229,6 +255,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 3, "partial", 8,
      "EIX",
      "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_commutative_idempotent, 6, "partial", 64,
+     "EIX",
+     "6ad48b10693ca7c6f3886c400d083bc42c042f26eb872a28f4e71891613d66dd"),
     (max_unique_idempotent, 1, "full", 1,
      "GROUP:C1",
      "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
@@ -485,7 +514,9 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_commutative(5, "partial")
         with pytest.raises(ValueError):
-            max_commutative_idempotent(7, "full")
+            max_commutative_idempotent(8, "full")
+        with pytest.raises(ValueError):
+            max_commutative_idempotent(7, "partial")
         with pytest.raises(ValueError):
             max_unique_idempotent(7, "full")
         with pytest.raises(ValueError):

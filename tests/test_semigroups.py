@@ -11,6 +11,7 @@ from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
     _closure_images,
+    _from_images,
     center,
     classify_small_abelian_group,
     closure,
@@ -99,6 +100,40 @@ class TestSemigroupSet:
         assert S.is_commutative()
         T = SemigroupSet([Transformation([1, 2, 0])])
         assert not T.is_closed()
+
+
+class TestFillSet:
+    """Both routes into a set's images: kept as they come, or sorted."""
+
+    ASCENDING = tuple(bytes(p) for p in itertools.product(range(3), repeat=3))
+
+    def test_strictly_ascending_is_kept(self):
+        assert _from_images(Transformation, self.ASCENDING).images is self.ASCENDING
+        gen = iter(self.ASCENDING)
+        assert _from_images(Transformation, gen).images == self.ASCENDING
+
+    @pytest.mark.parametrize("order", ["repeat", "descending", "shuffled"])
+    def test_anything_else_is_sorted(self, order):
+        imgs = list(self.ASCENDING)
+        if order == "repeat":
+            imgs.insert(5, imgs[5])
+        elif order == "descending":
+            imgs.reverse()
+        else:
+            random.Random(3).shuffle(imgs)
+            imgs += imgs[:4]
+        assert _from_images(Transformation, imgs).images == tuple(sorted(set(imgs)))
+
+    def test_ascending_mixed_degrees_raise(self):
+        for imgs in ([b"\x00", b"\x00\x00"], [b"\x00\x01", b"\x01"]):
+            assert imgs == sorted(imgs)
+            with pytest.raises(ValueError, match="elements must all share one degree"):
+                _from_images(Transformation, imgs)
+
+    def test_empty_raises(self):
+        for imgs in ([], iter(())):
+            with pytest.raises(ValueError, match="needs at least one element"):
+                _from_images(Transformation, imgs)
 
 
 def pairwise_closed(S):

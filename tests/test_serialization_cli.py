@@ -274,6 +274,14 @@ class TestCliConstruct:
             assert cli.run(["construct", "gamma", "--n", "3", "--x", x]) == 2
             assert f"error: --x {x} is out of range for degree 3" in capsys.readouterr().err
 
+    def test_gamma_bad_degree(self, capsys):
+        # the degree is checked before --x, as for eix and omega
+        for n in ("0", "-1"):
+            assert cli.run(["construct", "gamma", f"--n={n}"]) == 2
+            err = capsys.readouterr().err
+            assert f"error: degree must be a positive integer, got {n}" in err
+            assert "--x" not in err
+
     @pytest.mark.parametrize(
         "what, option, text, bad",
         [
@@ -751,7 +759,7 @@ class TestCliVerify:
 # Degrees `verify` accepts, per claim and kind (inclusive ranges; None = none).
 VERIFY_RANGES = {
     "comm-max": {"full": (2, 6), "partial": (2, 4)},
-    "idem-max": {"full": (1, 6), "partial": (1, 5)},
+    "idem-max": {"full": (1, 7), "partial": (1, 6)},
     "unique-idem-max": {"full": (1, 6), "partial": (1, 5)},
     "null-max": {"full": (1, 6), "partial": (1, 5)},
     "abelian-max": {"full": (2, 6), "partial": None},
@@ -765,10 +773,10 @@ VERIFY_RANGES = {
 class TestVerifyRange:
     """Pins the accepted degrees of every claim without running a real search.
 
-    Enumeration is replaced by the identity and the constants to 0 and 1
-    of the requested degree, so every search and graph statistic runs on a
-    tiny non-commutative monoid: accepted degrees exit 0 or 1, and every
-    other degree must exit 2.
+    Enumeration, and the idempotent generator of idem-max, are replaced by
+    the identity and the constants to 0 and 1 of the requested degree, so
+    every search and graph statistic runs on a tiny non-commutative monoid:
+    accepted degrees exit 0 or 1, and every other degree must exit 2.
     """
 
     @staticmethod
@@ -786,6 +794,9 @@ class TestVerifyRange:
             "enumerate_full": self._tiny(Transformation),
             "enumerate_partial": self._tiny(PartialTransformation),
             "enumerate_sym": lambda n: SemigroupSet([Transformation.identity(n)]),
+            "_idempotent_maps": lambda n, kind: self._tiny(
+                Transformation if kind == "full" else PartialTransformation
+            )(n),
         }
         for modname, mod in list(sys.modules.items()):
             if modname == "commsemi" or modname.startswith("commsemi."):

@@ -129,9 +129,9 @@ def _cmd_construct(args) -> int:
             f"construct {what} is capped at n ≤ {_CONSTRUCT_TOP[what]}, where it has at "
             f"most {_MAX_CONSTRUCT_ELEMENTS} elements; got n={n}"
         )
+    if what in ("gamma", "omega") and n < 1:  # before --x or α(n + 1), which would misname it
+        raise ValueError(f"degree must be a positive integer, got {n}")
     if what == "gamma":
-        if n < 1:  # before --x, which no degree below 1 could admit
-            raise ValueError(f"degree must be a positive integer, got {n}")
         if not 1 <= args.x <= n:
             raise ValueError(f"--x {args.x} is out of range for degree {n} (points are 1-based)")
         S = extremal.gamma(n, args.x - 1)

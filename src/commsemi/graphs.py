@@ -4,13 +4,14 @@ The commuting graph of a non-commutative semigroup has the non-central
 elements as vertices and an edge between distinct elements that commute.
 Adjacency lives in Python-int bitsets (bit v of row u = edge u–v), which
 keeps the branch-and-bound clique search allocation-free in the hot path.
-The commuting relation is built bit-sliced (:func:`commuting_rows`): one
-pass over the pool makes, for every point and value, the bitset of the
-items that send that point to that value, and each row is a few big-int
-ANDs and ORs of those columns.  One branch-and-bound, rooted in a
-degeneracy order kept in bit-sliced degree counters, finds one maximum
-clique or, on request, every one (:func:`max_clique_bits`); its colorings
-below the root are built a class at a time on the bit rows.
+The commuting relation is read bit-sliced (:class:`RowReader`): one pass
+over the pool makes, for every point and value, the bitset of the items
+that send that point to that value, and each row is a few big-int ANDs and
+ORs of those columns, made the first time it is read.  One
+branch-and-bound, rooted in a degeneracy order kept in bit-sliced degree
+counters, finds one maximum clique or, on request, every one
+(:func:`max_clique_bits`); its colorings below the root are built a class
+at a time on the bit rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroups import SemigroupSet, _commutes_with, center
+from .semigroups import SemigroupSet, _central_flags, _commutes_with
 from .transform import _FILL, _raw, product
 
 INFINITY = math.inf
@@ -34,12 +35,22 @@ _BINARY = b"0" * 256  # a translate table to "0"; with slot v set to "1" it mark
 
 @dataclass
 class CommGraph:
-    """Vertices are indices into ``source.elements``; adjacency is local bitsets."""
+    """Vertices are indices into ``source.elements``; adjacency is local bitsets.
+
+    ``rows`` is a plain list of bit rows or a :class:`RowReader` that makes
+    each row when it is first read.
+    """
 
     source: SemigroupSet
     vertices: tuple[int, ...]
-    adj: list[int]
+    rows: Sequence[int]
     center_indices: tuple[int, ...]
+
+    @property
+    def adj(self) -> list[int]:
+        """Every bit row, as a list: the rows not read yet are made now."""
+        rows = self.rows
+        return rows.read_all() if isinstance(rows, RowReader) else rows
 
     @property
     def degree(self) -> int:
@@ -68,20 +79,82 @@ class CliqueResult:
     nodes_explored: int
 
 
-def commuting_rows(items: Sequence) -> list[int]:
-    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute.
+class RowReader:
+    """The commuting relation on a pool of image bytes, one bit row at a time.
 
-    b commutes with a iff b(a(x)) = a(b(x)) for every point x.  Read column
-    by column, with ``col[x][v]`` the bitset of the items b with b(x) = v::
+    Bit j of row i is set iff maps i ≠ j commute.  b commutes with a iff
+    b(a(x)) = a(b(x)) for every point x.  Read column by column, with
+    ``col[x][v]`` the bitset of the maps b with b(x) = v::
 
         row(a) = ⋀_x ⋁_v col[x][v] & col[a(x)][a(v)]
 
     over the values v that occur in column x.  A partial map is a full map
     of X ∪ {⊥} that fixes the sentinel ⊥ = n, as
     :func:`~commsemi.transform.product` treats it, so ``col[n] = {n: all}``
-    and one loop serves both kinds.  Every step is a big-int AND/OR, and a
-    row stops as soon as it is empty.  All items must share one kind and
-    degree.
+    and one loop serves both kinds.  The columns are built once; each row
+    is a few big-int ANDs and ORs of them, made when it is first read (it
+    stops as soon as it is empty) and then kept.  All images must be valid
+    maps of one kind and degree n; nothing checks it.
+    """
+
+    __slots__ = ("_joined", "_sentinel", "_everyone", "_col", "_rows")
+
+    def __init__(self, images: Sequence[bytes], n: int):
+        self._sentinel = bytes([n])
+        self._everyone = everyone = (1 << len(images)) - 1
+        # map j is bit j: reversed, the first character of a column is the top bit
+        self._joined = joined = b"".join(reversed(images))
+        col = []
+        for x in range(n):
+            column = joined[x::n]
+            bits = {}
+            for v in set(column):
+                # "1" where the column holds v and "0" elsewhere: a binary numeral
+                bits[v] = int(column.translate(_BINARY[:v] + b"1" + _BINARY[v + 1 :]), 2)
+            col.append(bits)
+        col.append({n: everyone})
+        self._col = col
+        self._rows: list[int | None] = [None] * len(images)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> int:
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = self._row(range(len(self._rows))[i])
+        return row
+
+    def read_all(self) -> list[int]:
+        """Every row, in the reader's own list: each is made once."""
+        rows = self._rows
+        for i, row in enumerate(rows):
+            if row is None:
+                rows[i] = self._row(i)
+        return rows
+
+    def _row(self, i: int) -> int:
+        n = len(self._col) - 1
+        end = (len(self._rows) - i) * n  # map i's images end here in the reversed join
+        a = self._joined[end - n : end] + self._sentinel
+        col = self._col
+        row = self._everyone
+        for x in range(n):
+            target = col[a[x]]
+            meet = 0
+            for v, bits in col[x].items():
+                meet |= bits & target.get(a[v], 0)
+            row &= meet
+            if not row:
+                break
+        return row & ~(1 << i)
+
+
+def commuting_rows(items: Sequence) -> list[int]:
+    """Bit matrix over ``items``: bit j of row i set iff items i ≠ j commute.
+
+    Every row of a :class:`RowReader` on the items' images.  All items
+    must share one kind and degree.
     """
     if not items:
         return []
@@ -91,47 +164,26 @@ def commuting_rows(items: Sequence) -> list[int]:
     for item in items:
         if type(item) is not cls or len(item.img) != n:
             product(first, item)  # raises on a mixed kind or degree, with product's message
-    everyone = (1 << len(items)) - 1
-    # item j is bit j: reversed, the first character of a column is the top bit
-    images = b"".join(item.img for item in reversed(items))
-    col = []
-    for x in range(n):
-        column = images[x::n]
-        bits = {}
-        for v in set(column):
-            # "1" where the column holds v and "0" elsewhere: a binary numeral
-            bits[v] = int(column.translate(_BINARY[:v] + b"1" + _BINARY[v + 1 :]), 2)
-        col.append(bits)
-    col.append({n: everyone})
-    rows = []
-    for i, item in enumerate(items):
-        a = item.img + bytes([n])
-        row = everyone
-        for x in range(n):
-            target = col[a[x]]
-            meet = 0
-            for v, bits in col[x].items():
-                meet |= bits & target.get(a[v], 0)
-            row &= meet
-            if not row:
-                break
-        rows.append(row & ~(1 << i))
-    return rows
+    return RowReader([item.img for item in items], n).read_all()
 
 
 def build(S: SemigroupSet) -> CommGraph:
-    """Commuting graph on S ∖ Z(S); rejects commutative input (empty vertex set)."""
+    """Commuting graph on S ∖ Z(S); rejects commutative input (empty vertex set).
+
+    The center is found on image bytes, and the rows are read on demand.
+    """
     if not S.is_closed():
         raise ValueError("the commuting graph is defined for product-closed sets")
     if S.is_commutative():
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    central = set(center(S))
-    elems = S.elements
-    vertices = tuple(i for i, a in enumerate(elems) if a not in central)
-    center_indices = tuple(i for i, a in enumerate(elems) if a in central)
-    return CommGraph(S, vertices, commuting_rows([elems[i] for i in vertices]), center_indices)
+    central = _central_flags(S)
+    noncentral = list(map(operator.not_, central))
+    vertices = tuple(itertools.compress(range(len(S)), noncentral))
+    center_indices = tuple(itertools.compress(range(len(S)), central))
+    rows = RowReader(list(itertools.compress(S.images, noncentral)), S.degree)
+    return CommGraph(S, vertices, rows, center_indices)
 
 
 def _bits_to_list(bits: int) -> list[int]:
@@ -302,22 +354,28 @@ def girth(g: CommGraph) -> float | int:
 
     One breadth-first search per root, one distance layer at a time on the
     bit rows (Itai & Rodeh 1978).  An edge inside layer k closes a cycle of
-    length at most 2k+1; failing that, a fresh vertex reached from two
-    vertices of layer k closes one of length at most 2k+2.  A root stops at
-    its first such bound, or once 2k+1 reaches the best so far.  The minimum
-    over all roots is exact: from a vertex of a shortest cycle, that cycle
-    shows up at its own length.  Stops once a triangle is known.
+    length at most 2k+1, so the layer ends at the first one; failing that, a
+    fresh vertex reached from two vertices of layer k closes one of length
+    at most 2k+2.  A root stops at its first such bound, or once 2k+1
+    reaches the best so far.  The minimum over all roots is exact: from a
+    vertex of a shortest cycle, that cycle shows up at its own length.
+    Stops once a triangle is known.  Rows are read one at a time, so a
+    :class:`RowReader` makes only the rows the search reaches.
     """
-    adj = g.adj
+    rows = g.rows
     best: float | int = INFINITY
-    for root in range(len(adj)):
+    for root in range(len(rows)):
         seen = layer = 1 << root
         k = 0
         while layer and 2 * k + 1 < best:
             inner = met = nxt = 0
-            for u in _bits_to_list(layer):
-                inner |= adj[u] & layer
-                fresh = adj[u] & ~seen
+            rest = layer
+            while rest and not inner:
+                low = rest & -rest
+                rest ^= low
+                row = rows[low.bit_length() - 1]
+                inner = row & layer
+                fresh = row & ~seen
                 met |= fresh & nxt
                 nxt |= fresh
             if inner or met:

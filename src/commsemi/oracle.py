@@ -508,7 +508,7 @@ CLAIMS: dict[str, Claim] = {
     "abelian-max": Claim(
         _published("abelian-max", lambda n, full: ABELIAN_ORDERS[n], full=(2, 12)),
         _compute_abelian,
-        {"full": (2, 6)},
+        {"full": (2, 7)},
     ),
     "pclique": Claim(
         _published("pclique", _pclique, (2, 6), (2, 5)),
@@ -518,7 +518,7 @@ CLAIMS: dict[str, Claim] = {
     "girth": Claim(
         _published("girth", lambda n, full: math.inf if n == 2 else 3, _FROM_2, _FROM_2),
         lambda n, kind: (girth(build(_enumerate("girth", n, kind))), ()),
-        {"full": (2, 5), "partial": (2, 4)},
+        {"full": (2, 6), "partial": (2, 5)},
     ),
     "knit": Claim(
         _published("knit", lambda n, full: None if n == 2 else 1, _FROM_2, _FROM_2),

@@ -13,6 +13,7 @@ from commsemi import cli
 from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
+    RowReader,
     _bits_to_list,
     _color_bits,
     _color_sort,
@@ -32,6 +33,7 @@ from commsemi.serialization import semigroup_digest, write_semigroup_file
 from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
+    center,
     closure,
     enumerate_full,
     enumerate_partial,
@@ -538,13 +540,18 @@ class TestSearchTrajectory:
         assert (every[0], len(every[1]), every[2]) == (size, ties, tie_nodes)
         assert every[1][0] == one[1][0]
 
-    def test_abelian_witness_of_sym6_is_pinned(self):
-        r = max_abelian_subgroup(6)
+    @pytest.mark.parametrize(
+        "n, size, digest",
+        [
+            (6, 9, "2074369ba7b950b775111eafa38ff6497c484da09b0650742653e440c431c1ec"),
+            (7, 12, "1b1e607a22f79ebd99501ab46d6853140d71ed84d9d5f497077ce1cb3e8d32fd"),
+        ],
+    )
+    def test_abelian_witness_is_pinned(self, n, size, digest):
+        r = max_abelian_subgroup(n)
         digests = "\n".join(semigroup_digest(T) for T in r.maximizers)
-        assert r.size == 9
-        assert hashlib.sha256(digests.encode("utf-8")).hexdigest() == (
-            "2074369ba7b950b775111eafa38ff6497c484da09b0650742653e440c431c1ec"
-        )
+        assert r.size == size
+        assert hashlib.sha256(digests.encode("utf-8")).hexdigest() == digest
 
 
 class TestNetworkxCrossCheck:
@@ -747,7 +754,7 @@ class TestGirth:
             want = reference_girth(adj)
             assert girth(CommGraph(enumerate_full(2), tuple(range(len(adj))), adj, ())) == want
             seen.add(want)
-        assert seen >= {4, 5, 6, 7, 8, 9, math.inf}
+        assert seen == {3, 4, 5, 6, 7, 8, 9, math.inf}
 
     def test_transformation_graphs(self):
         assert girth(build(enumerate_full(2))) == math.inf
@@ -755,6 +762,98 @@ class TestGirth:
         assert girth(build(enumerate_full(3))) == 3
         assert girth(build(enumerate_full(4))) == 3
         assert girth(build(enumerate_partial(3))) == 3
+
+    @pytest.mark.parametrize(
+        "kind, n", [("full", n) for n in range(2, 7)] + [("partial", n) for n in range(2, 6)]
+    )
+    def test_rows_on_demand_against_every_row(self, kind, n):
+        S = enumerate_full(n) if kind == "full" else enumerate_partial(n)
+        central = set(center(S))
+        verts = [a for a in S if a not in central]
+        g = build(S)
+        assert [S.elements[i] for i in g.vertices] == verts
+        every = CommGraph(S, g.vertices, commuting_rows(verts), g.center_indices)
+        assert girth(g) == girth(every) == (math.inf if S.degree == 2 else 3)
+
+    @pytest.mark.parametrize("kind, n", [("full", 5), ("full", 6), ("partial", 4), ("partial", 5)])
+    def test_girth_makes_at_most_three_rows(self, kind, n, monkeypatch):
+        S = enumerate_full(n) if kind == "full" else enumerate_partial(n)
+        made = count_rows_made(monkeypatch)
+        g = build(S)
+        assert made == []  # build makes no row
+        assert girth(g) == 3
+        assert 1 <= len(made) <= 3
+
+
+def count_rows_made(monkeypatch):
+    """The pool indices of every row a RowReader makes from now on, in order."""
+    made = []
+    make = RowReader._row
+
+    def counted(self, i):
+        made.append(i)
+        return make(self, i)
+
+    monkeypatch.setattr(RowReader, "_row", counted)
+    return made
+
+
+class TestRowReader:
+    def test_each_row_is_made_once(self, monkeypatch):
+        made = count_rows_made(monkeypatch)
+        S = enumerate_full(4)
+        g = build(S)
+        rows = g.rows
+        assert len(rows) == 255 and made == []
+        assert rows[7] == rows[7] == rows[-248]
+        assert made == [7]
+        assert girth(g) == girth(g) == 3
+        first = list(made)
+        assert girth(g) == 3 and made == first
+        adj = g.adj
+        assert type(adj) is list and adj is g.adj
+        assert g.edge_count == sum(map(int.bit_count, adj)) // 2
+        assert sorted(made) == list(range(255))
+        assert adj == commuting_rows([S.elements[i] for i in g.vertices])
+
+    def test_out_of_range(self):
+        rows = build(enumerate_full(3)).rows
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(IndexError):
+            rows[-len(rows) - 1]
+
+    @pytest.mark.parametrize(
+        "S, adj_digest, dump_digest",
+        [
+            (
+                enumerate_full(3),
+                "f7e9fa2aa7f9366be0490833d8806cc037e34773710d1d7b8e4226c27fcc040f",
+                "99212f60b54e4a2aaa6aa7bd4c3239827131ee8f79dd1816c1102326c73f3a69",
+            ),
+            (
+                enumerate_full(4),
+                "7d7e752d8f18fe4f4fbe9f70be633615d36fd36267fb768a5a9552a95b9b51fe",
+                "e1f7f250115c34261d60a181a0f3ff0ac8486381748b550bda904f579470fc69",
+            ),
+            (
+                enumerate_partial(3),
+                "3de538e25e4f224a922a1c232523f04f88019a58f4464480cc20e898898f58eb",
+                "2aa11e3b4d8f932715151c2b628ea50988b08aed1d1f7e9b9e1ad0a5ebcd01fc",
+            ),
+        ],
+        ids=["full-3", "full-4", "partial-3"],
+    )
+    def test_adjacency_and_dump_pinned(self, S, adj_digest, dump_digest, tmp_path, capsys):
+        g = build(S)
+        width = (g.vertex_count + 7) // 8
+        rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
+        assert hashlib.sha256(rows).hexdigest() == adj_digest
+        path, dump = tmp_path / "s.json", tmp_path / "s.adj"
+        write_semigroup_file(S, str(path))
+        assert cli.run(["graph", str(path), "--adj", str(dump)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest
 
 
 def definition_knit_degree(S, max_len):

@@ -10,6 +10,7 @@ import pytest
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
 from commsemi.oracle import (
     ABELIAN_ORDERS,
+    CLAIMS,
     _checked_set,
     _omega_classes,
     _tag_commutative,
@@ -405,7 +406,7 @@ class TestTags:
 
 class TestMaxAbelianSubgroup:
     def test_matches_the_orders(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             r = max_abelian_subgroup(n)
             assert r.size == ABELIAN_ORDERS[n]
             assert r.tags == (f"ABELIAN:{r.size}",)
@@ -417,7 +418,7 @@ class TestMaxAbelianSubgroup:
         with pytest.raises(ValueError):
             max_abelian_subgroup(1)
         with pytest.raises(ValueError):
-            max_abelian_subgroup(7)
+            max_abelian_subgroup(8)
 
 
 def object_level_sampler(n, seed):
@@ -525,6 +526,10 @@ class TestCaps:
             max_null(7, "full")
         with pytest.raises(ValueError):
             max_null(6, "partial")
+        with pytest.raises(ValueError, match="capped"):
+            CLAIMS["girth"].compute(7, "full")
+        with pytest.raises(ValueError, match="capped"):
+            CLAIMS["girth"].compute(6, "partial")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

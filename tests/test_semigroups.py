@@ -405,6 +405,26 @@ class TestCenter:
         with pytest.raises(ValueError):
             center(SemigroupSet([Transformation([1, 2, 0])]))
 
+    def test_random_closures_against_the_definition(self):
+        # closures of a few random maps, some with the identity, so that the
+        # centers run from empty to everything and the refuter tried first changes
+        rng = random.Random(31)
+        sizes = set()
+        for _ in range(120):
+            n = rng.choice((2, 3, 4))
+            cls = rng.choice((Transformation, PartialTransformation))
+            values = [*range(n), None] if cls is PartialTransformation else range(n)
+            gens = [cls(rng.choices(values, k=n)) for _ in range(rng.randint(1, 3))]
+            gens += [cls.identity(n)] * rng.randint(0, 1)
+            try:
+                S = closure(gens, limit=300)
+            except ClosureLimitExceeded:
+                continue
+            want = tuple(a for a in S if all(a * b == b * a for b in S))
+            assert center(S) == want
+            sizes.add((len(want) == len(S), len(want) > 0))
+        assert sizes == {(True, True), (False, True), (False, False)}
+
 
 class TestIdempotents:
     def test_counts(self):

@@ -282,6 +282,15 @@ class TestCliConstruct:
             assert f"error: degree must be a positive integer, got {n}" in err
             assert "--x" not in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "what", ["gamma", "nullmax", "omega", "eix", "abelian", "nullid", "knit"]
+    )
+    def test_every_construction_names_the_bad_degree_as_typed(self, capsys, what, n):
+        assert cli.run(["construct", what, f"--n={n}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"got {n}")
+
     @pytest.mark.parametrize(
         "what, option, text, bad",
         [
@@ -762,9 +771,9 @@ VERIFY_RANGES = {
     "idem-max": {"full": (1, 7), "partial": (1, 6)},
     "unique-idem-max": {"full": (1, 6), "partial": (1, 5)},
     "null-max": {"full": (1, 6), "partial": (1, 5)},
-    "abelian-max": {"full": (2, 6), "partial": None},
+    "abelian-max": {"full": (2, 7), "partial": None},
     "pclique": {"full": (2, 6), "partial": (2, 4)},
-    "girth": {"full": (2, 5), "partial": (2, 4)},
+    "girth": {"full": (2, 6), "partial": (2, 5)},
     "knit": {"full": (2, 6), "partial": (2, 5)},
     "xi-table": {"full": (1, 20), "partial": (1, 20)},
 }

@@ -18,7 +18,10 @@ maximum-clique problem on a small induced graph:
 * abelian subgroup: the commuting graph of the symmetric group.
 
 The first four share one driver, :func:`_search`, with one clique search
-per pool that keeps every tie.  None of the reductions is taken on faith:
+per pool that keeps every tie.  Conjugation by a permutation σ maps the
+pools of an idempotent f onto those of σ⁻¹fσ, edge for edge, so the last two
+search one ω-class per conjugacy class of idempotents and list every other
+maximizer as a conjugate of one found.  None of the reductions is taken on faith:
 every answer set is re-checked for product closure (and whatever structure
 the claim demands) before it is reported, and the module-wide counter
 records every such check so a test run can assert that no violation ever
@@ -27,6 +30,7 @@ occurred.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Callable, NamedTuple
@@ -206,29 +210,58 @@ def _tag_unique_idem(T: SemigroupSet) -> str:
 # the five oracle searches
 
 
-def _search(pools, context: str, tag, check) -> OracleResult:
+def _search(pools, context: str, tag, check, conjugate: bool = False) -> OracleResult:
     """Every maximum clique over the pools that reach the best clique number.
 
     Each pool is ``(key, items, adj)`` with ``adj`` a bitset adjacency on
-    ``items``, searched with the best size so far as its floor.  Only the
-    final answers are re-checked by :func:`_checked_set`, must satisfy
-    ``check(T, key)`` and are labelled by ``tag(T)``; they come back in
-    canonical order.
+    ``items``, searched with the best size so far as its floor.  With
+    ``conjugate``, each key is an idempotent f whose pool stands for the
+    pools of all its conjugates, and each final clique K is listed as
+    σ⁻¹Kσ, keyed σ⁻¹fσ, for one σ per conjugate (:func:`_conjugates`).
+    Only the final answers are re-checked by :func:`_checked_set`, must
+    satisfy ``check(T, key)`` and are labelled by ``tag(T)``; they come
+    back in canonical order.
     """
     best, found = 0, []
     for key, items, adj in pools:
         size, cliques, _ = max_clique_bits(adj, best, ties=True)
         if size > best:
             best, found = size, []
-        found += [(key, items, K) for K in cliques]
+        found.append((key, [[items[i] for i in K] for K in cliques]))
     results = []
-    for key, items, K in found:
-        T = _checked_set([items[i] for i in K], context=f"{context}, pool {key!r}")
-        if not check(T, key):
-            raise RuntimeError(f"{context}: pool {key!r} produced {T!r}, which fails its check")
-        results.append((T, tag(T)))
+    for key, cliques in found:
+        listed = _conjugates(key, cliques) if conjugate else [(key, K) for K in cliques]
+        for key, K in listed:
+            T = _checked_set(K, context=f"{context}, pool {key!r}")
+            if not check(T, key):
+                raise RuntimeError(f"{context}: pool {key!r} produced {T!r}, which fails its check")
+            results.append((T, tag(T)))
     results.sort(key=lambda st: st[0].images)
     return OracleResult(best, tuple(T for T, _ in results), tuple(t for _, t in results))
+
+
+def _conjugates(f, cliques):
+    """(σ⁻¹fσ, σ⁻¹Kσ) for each clique K of f's pool and one σ ∈ Sym_n per conjugate of f.
+
+    On image bytes, x·σ⁻¹aσ = σ(a(σ⁻¹(x))): σ⁻¹'s image read through a's
+    table, then σ's; σ fixes ⊥, so partial maps conjugate alike.  The σ
+    that fix f permute the maximum cliques of f's pool among themselves,
+    and those are all given, so one σ per conjugate lists every maximizer
+    of the conjugate pools, each once: pools of distinct keys hold distinct
+    sets (a set's idempotent, or its zero, is the key).
+    """
+    cls, n = type(f), len(f.img)
+    fill, identity = _FILL[n], bytes(range(n))
+    tables = [[a.img + fill for a in K] for K in cliques]
+    seen = set()
+    for s in map(bytes, itertools.permutations(identity)):
+        inverse = bytes.maketrans(s, identity)[:n]
+        table = s + fill
+        g = inverse.translate(f.img + fill).translate(table)
+        if g not in seen:
+            seen.add(g)
+            for K in tables:
+                yield _raw(cls, g), [_raw(cls, inverse.translate(t).translate(table)) for t in K]
 
 
 def max_commutative(n: int, kind: str) -> OracleResult:
@@ -254,16 +287,33 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
     )
 
 
-def _omega_classes(S: SemigroupSet) -> dict:
-    """S split by ω-power: idempotent f ↦ the elements whose powers reach f.
+def _orbit_key(f: bytes) -> tuple[int, ...]:
+    """The conjugacy class in Sym_n of the idempotent with image bytes f.
 
-    Keys come in the order S first reaches their classes, members in S's
-    order.  The ω-powers are walked on image bytes, with no product as an element.
+    An idempotent fixes its image points and sends each other point into
+    one of them (or to ⊥), and σ⁻¹fσ has the fibres of f moved by σ.  So two
+    idempotents are conjugate iff they have the same sorted fibre sizes over
+    their image points; the points left over are those sent to ⊥.
     """
-    classes: dict[bytes, list] = {}
-    for a in S:
-        classes.setdefault(_omega_image(a.img), []).append(a)
-    return {_raw(S.element_class, f): members for f, members in classes.items()}
+    n = len(f)
+    return tuple(sorted(f.count(y) for y in set(f) if y != n))
+
+
+def _omega_orbits(S: SemigroupSet) -> list:
+    """One ω-class of S per conjugacy class of idempotents: (f, its members).
+
+    S is grouped by ω-power on image bytes; of each conjugacy class
+    (:func:`_orbit_key`) only the ω-class that S reaches first is kept,
+    with its members in S's order.  Only those become element objects.
+    """
+    classes: dict[bytes, list[bytes]] = {}
+    for a in S.images:
+        classes.setdefault(_omega_image(a), []).append(a)
+    orbits: dict[tuple, tuple] = {}
+    for f, members in classes.items():
+        orbits.setdefault(_orbit_key(f), (f, members))
+    cls = S.element_class
+    return [(_raw(cls, f), [_raw(cls, a) for a in members]) for f, members in orbits.values()]
 
 
 def max_unique_idempotent(n: int, kind: str) -> OracleResult:
@@ -272,14 +322,17 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     Grouping by the stabilising power splits the problem by idempotent: a
     commuting set whose members all have ω-power f is exactly a clique in
     the induced graph of f's class, and maximum cliques there are closed
-    and contain f.
+    and contain f.  Conjugation keeps ω-powers and commuting, so one class
+    per conjugacy class of idempotents is searched (at T5, 7 of 196), and
+    the maximizers of the others are the conjugates of those found.
     """
     S = _enumerate("unique-idem-max", n, kind)
     return _search(
-        [(f, items, commuting_rows(items)) for f, items in _omega_classes(S).items()],
+        [(f, items, commuting_rows(items)) for f, items in _omega_orbits(S)],
         f"max_unique_idempotent({n},{kind})",
         _tag_unique_idem,
         lambda T, f: idempotents(T) == [f],
+        conjugate=True,
     )
 
 
@@ -289,15 +342,18 @@ def max_null(n: int, kind: str) -> OracleResult:
     For a candidate zero z, a null semigroup with zero z is exactly a clique
     of commuting pairs whose product is z, on the vertices with square z
     that absorb z.  Those vertices lie in z's ω-class (a² = z forces
-    ω(a) = z), so both routes search the ω-classes, computed once.  The
-    nilpotent maximum (commuting cliques on {α : ω-power = z, αz = zα = z})
-    must agree with the null maximum at these degrees; a disagreement aborts.
+    ω(a) = z), so both routes search the ω-classes, one per conjugacy class
+    of idempotents, as in :func:`max_unique_idempotent`; conjugation keeps
+    products, so each route's maximum is the same over those classes as
+    over all of them.  The nilpotent maximum (commuting cliques on
+    {α : ω-power = z, αz = zα = z}) must agree with the null maximum at
+    these degrees; a disagreement aborts.
     """
     S = _enumerate("null-max", n, kind)
     pools = []
     best_nilpotent = 0
     fill = _FILL[n]
-    for z, cls in _omega_classes(S).items():
+    for z, cls in _omega_orbits(S):
         # az = z = za, then a² = z, then ab = z, on image bytes as in semigroups
         zero, tz = z.img, z.img + fill
         nil = [a for a in cls if a.img.translate(tz) == zero == zero.translate(a.img + fill)]
@@ -315,6 +371,7 @@ def max_null(n: int, kind: str) -> OracleResult:
         f"max_null({n},{kind})",
         _tag_null,
         lambda T, z: is_null(T) == (True, z),
+        conjugate=True,
     )
     if best_nilpotent != r.size:
         raise RuntimeError(
@@ -498,12 +555,12 @@ CLAIMS: dict[str, Claim] = {
     "unique-idem-max": Claim(
         _published("unique-idem-max", _unique_idem, (1, 20), (1, 19)),
         lambda n, kind: _witnessed(max_unique_idempotent(n, kind)),
-        {"full": (1, 6), "partial": (1, 5)},
+        {"full": (1, 7), "partial": (1, 5)},
     ),
     "null-max": Claim(
         _published("null-max", _xi, (1, 20), (1, 19)),
         lambda n, kind: _witnessed(max_null(n, kind)),
-        {"full": (1, 6), "partial": (1, 5)},
+        {"full": (1, 7), "partial": (1, 5)},
     ),
     "abelian-max": Claim(
         _published("abelian-max", lambda n, full: ABELIAN_ORDERS[n], full=(2, 12)),

@@ -28,7 +28,7 @@ from commsemi.graphs import (
     shortest_left_path,
     write_adjacency,
 )
-from commsemi.oracle import _omega_classes, max_abelian_subgroup, max_commutative, max_null
+from commsemi.oracle import max_abelian_subgroup, max_commutative, max_null
 from commsemi.serialization import semigroup_digest, write_semigroup_file
 from commsemi.semigroups import (
     ClosureLimitExceeded,
@@ -333,6 +333,14 @@ def rows_digest(pools):
     return digest.hexdigest()
 
 
+def omega_classes(S):
+    """The members of S grouped by ω-power, classes and members in S's order."""
+    classes = {}
+    for a in S:
+        classes.setdefault(omega_power(a), []).append(a)
+    return list(classes.values())
+
+
 class TestCommutingRows:
     """The bit-sliced builder against the pair-by-pair definition."""
 
@@ -356,7 +364,7 @@ class TestCommutingRows:
                 "cc6baf20903296a414f59451bf098dfd2d30eb556323dfaea0f12a677cd5118e",
             ),
             (
-                lambda: list(_omega_classes(enumerate_full(5)).values()),
+                lambda: omega_classes(enumerate_full(5)),
                 "e703b7629490b17778975ca1f5f65ed5040c5cc6075c315440395a51007378f3",
             ),
         ],
@@ -373,11 +381,9 @@ class TestCommutingRows:
     def test_idempotents_and_omega_classes(self):
         pool = list(idempotents(enumerate_full(5)))
         assert commuting_rows(pool) == pair_rows(pool)
-        classes = {}
-        for a in enumerate_full(4):
-            classes.setdefault(omega_power(a), []).append(a)
+        classes = omega_classes(enumerate_full(4))
         assert len(classes) == 41
-        for cls in classes.values():
+        for cls in classes:
             assert commuting_rows(cls) == pair_rows(cls)
 
     def test_symmetric_group_without_identity(self):

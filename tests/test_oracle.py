@@ -8,11 +8,13 @@ from collections import Counter
 import pytest
 
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
+from commsemi.graphs import commuting_rows, max_clique_bits
 from commsemi.oracle import (
     ABELIAN_ORDERS,
     CLAIMS,
     _checked_set,
-    _omega_classes,
+    _omega_orbits,
+    _orbit_key,
     _tag_commutative,
     _tag_null,
     closure_check_stats,
@@ -159,13 +161,86 @@ class TestMaxUniqueIdempotent:
         }
 
 
-@pytest.mark.parametrize("enum, n", [(enumerate_full, 4), (enumerate_partial, 3)], ids=["T4", "P3"])
-def test_omega_classes_match_omega_power(enum, n):
-    classes = _omega_classes(enum(n))
-    expected = {}
-    for a in enum(n):
-        expected.setdefault(omega_power(a), []).append(a)
-    assert list(classes.items()) == list(expected.items())  # keys, key order, member order
+def omega_classes(S):
+    """S grouped by ω-power, one element at a time: keys and members in S's order."""
+    classes = {}
+    for a in S:
+        classes.setdefault(omega_power(a), []).append(a)
+    return classes
+
+
+def conjugate(a, s):
+    """σ⁻¹aσ by two products, for the permutation σ with image ``s``."""
+    cls = type(a)
+    inverse = sorted(range(len(s)), key=s.__getitem__)
+    return product(product(cls(inverse), a), cls(s))
+
+
+def partitions(m):
+    """The number of partitions of m, by counting multisets of parts."""
+    return sum(
+        1
+        for k in range(m + 1)
+        for parts in itertools.combinations_with_replacement(range(1, m + 1), k)
+        if sum(parts) == m
+    )
+
+
+ORBIT_DEGREES = [(enumerate_full, 4), (enumerate_partial, 3)]
+
+
+class TestOrbits:
+    """The premise of the orbit search: conjugation keeps every pool's clique number."""
+
+    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_first_class_of_each_conjugacy_class(self, enum, n):
+        S = enum(n)
+        expected = []
+        for f, members in omega_classes(S).items():
+            orbit = {conjugate(f, s) for s in itertools.permutations(range(n))}
+            if not any(g in orbit for g, _ in expected):
+                expected.append((f, members))
+        assert _omega_orbits(S) == expected  # keys, key order, member order
+
+    def test_orbit_keys_count_the_conjugacy_classes(self):
+        # p(n) classes of idempotents in T_n; in P_n, the points sent to ⊥ are
+        # any m ≤ n of them, and the rest are split as a partition of n − m
+        for n in range(1, 7):
+            keys = set(map(_orbit_key, _idempotent_maps(n, "full").images))
+            assert len(keys) == partitions(n)
+        for n in range(1, 6):
+            keys = set(map(_orbit_key, _idempotent_maps(n, "partial").images))
+            assert len(keys) == sum(map(partitions, range(n + 1)))
+        assert [partitions(n) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+
+    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_orbit_keys_are_conjugacy(self, enum, n):
+        es = idempotents(enum(n))
+        for f in es:
+            orbit = {conjugate(f, s) for s in itertools.permutations(range(n))}
+            assert {g for g in es if _orbit_key(g.img) == _orbit_key(f.img)} == orbit
+
+    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_conjugate_pools_share_clique_numbers(self, enum, n):
+        def omega(pool):
+            return max_clique_bits(commuting_rows(pool))[0]
+
+        def null_omega(z, pool):
+            items = [a for a in pool if a * a == z == a * z == z * a]
+            adj = [
+                sum(1 << j for j, b in enumerate(items) if j != i and a * b == z == b * a)
+                for i, a in enumerate(items)
+            ]
+            return max_clique_bits(adj)[0]
+
+        S = enum(n)
+        reps = {_orbit_key(f.img): (f, pool) for f, pool in _omega_orbits(S)}
+        classes = omega_classes(S)
+        assert len(classes) > len(reps)
+        for f, pool in classes.items():
+            g, rep = reps[_orbit_key(f.img)]
+            assert omega(pool) == omega(rep)
+            assert null_omega(f, pool) == null_omega(g, rep)
 
 
 class TestMaxNull:
@@ -204,7 +279,8 @@ class TestMaxNull:
 
 
 # Every maximizer of the four clique searches at the cheap degrees, comm-max
-# at T6, and idem-max at its top degrees T7 and P6:
+# at T6, idem-max at its top degrees T7 and P6, and the unique-idempotent and
+# null searches at T5, T6, P4 and P5, recorded from a search of every ω-class:
 # (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
 # semigroup digests of the maximizers, in the order returned).
 PINNED_MAXIMIZERS = [
@@ -285,6 +361,50 @@ PINNED_MAXIMIZERS = [
     (max_unique_idempotent, 3, "partial", 4,
      "NULL:OMEGA(1) NULL:OMEGA(2) NULL:OMEGA(0)",
      "417dc428268086ea332ced66685c7131f3fd4af5fa44a845426e09374ff7dd77"),
+    (max_unique_idempotent, 5, "full", 9,
+     (
+         "NULL:N(0;1,2) NULL:N(0;1,3) NULL:N(0;2,3) NULL:N(0;1,4) "
+         "NULL:N(0;2,4) NULL:N(0;3,4) NULL:N(1;0,4) NULL:N(1;0,3) "
+         "NULL:N(1;0,2) NULL:N(1;2,3) NULL:N(1;2,4) NULL:N(1;3,4) "
+         "NULL:N(2;1,4) NULL:N(2;1,3) NULL:N(3;1,4) NULL:N(3;1,2) "
+         "NULL:N(4;1,3) NULL:N(4;1,2) NULL:N(2;0,4) NULL:N(2;0,3) "
+         "NULL:N(2;0,1) NULL:N(2;3,4) NULL:N(3;2,4) NULL:N(4;2,3) "
+         "NULL:N(3;0,4) NULL:N(3;0,2) NULL:N(3;0,1) NULL:N(4;0,3) "
+         "NULL:N(4;0,2) NULL:N(4;0,1)"
+     ),
+     "b58f1d7394d5b2591d0e1458085eebcf4ae43cc83992ec3ea941fbea34639756"),
+    (max_unique_idempotent, 6, "full", 27,
+     (
+         "NULL:N(0;1,2) NULL:N(0;1,3) NULL:N(0;1,4) NULL:N(0;2,3) "
+         "NULL:N(0;2,4) NULL:N(0;3,4) NULL:N(0;1,5) NULL:N(0;2,5) "
+         "NULL:N(0;3,5) NULL:N(0;4,5) NULL:N(1;0,5) NULL:N(1;0,4) "
+         "NULL:N(1;0,3) NULL:N(1;0,2) NULL:N(1;2,3) NULL:N(1;2,4) "
+         "NULL:N(1;3,4) NULL:N(1;2,5) NULL:N(1;3,5) NULL:N(1;4,5) "
+         "NULL:N(2;1,5) NULL:N(2;1,4) NULL:N(2;1,3) NULL:N(3;1,5) "
+         "NULL:N(3;1,4) NULL:N(3;1,2) NULL:N(4;1,5) NULL:N(4;1,3) "
+         "NULL:N(4;1,2) NULL:N(5;1,4) NULL:N(5;1,3) NULL:N(5;1,2) "
+         "NULL:N(2;0,5) NULL:N(2;0,4) NULL:N(2;0,3) NULL:N(2;0,1) "
+         "NULL:N(2;3,4) NULL:N(2;3,5) NULL:N(2;4,5) NULL:N(3;2,5) "
+         "NULL:N(3;2,4) NULL:N(4;2,5) NULL:N(4;2,3) NULL:N(5;2,4) "
+         "NULL:N(5;2,3) NULL:N(3;0,5) NULL:N(3;0,4) NULL:N(3;0,2) "
+         "NULL:N(3;0,1) NULL:N(3;4,5) NULL:N(4;3,5) NULL:N(5;3,4) "
+         "NULL:N(4;0,5) NULL:N(4;0,3) NULL:N(4;0,2) NULL:N(4;0,1) "
+         "NULL:N(5;0,4) NULL:N(5;0,3) NULL:N(5;0,2) NULL:N(5;0,1)"
+     ),
+     "4fca79aff085df1340c833c0e6c6c8ae9fe6a5fde2ea72502575407225efc4e1"),
+    (max_unique_idempotent, 4, "partial", 9,
+     (
+         "NULL:OMEGA(1,3) NULL:OMEGA(1,2) NULL:OMEGA(2,3) NULL:OMEGA(0,3) "
+         "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "afd4f9d6a3ebc69cc82b337809c8e45aada67d1a011b99604b9244c47bda8a91"),
+    (max_unique_idempotent, 5, "partial", 27,
+     (
+         "NULL:OMEGA(1,4) NULL:OMEGA(1,3) NULL:OMEGA(1,2) NULL:OMEGA(2,4) "
+         "NULL:OMEGA(2,3) NULL:OMEGA(3,4) NULL:OMEGA(0,4) NULL:OMEGA(0,3) "
+         "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "51a5ff0409f94255b832407158ad584914c5631083d3b44c01d980704669fcee"),
     (max_null, 1, "full", 1,
      "ID",
      "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
@@ -313,6 +433,50 @@ PINNED_MAXIMIZERS = [
     (max_null, 3, "partial", 4,
      "NULL:OMEGA(1) NULL:OMEGA(2) NULL:OMEGA(0)",
      "417dc428268086ea332ced66685c7131f3fd4af5fa44a845426e09374ff7dd77"),
+    (max_null, 5, "full", 9,
+     (
+         "NULL:N(0;1,2) NULL:N(0;1,3) NULL:N(0;2,3) NULL:N(0;1,4) "
+         "NULL:N(0;2,4) NULL:N(0;3,4) NULL:N(1;0,4) NULL:N(1;0,3) "
+         "NULL:N(1;0,2) NULL:N(1;2,3) NULL:N(1;2,4) NULL:N(1;3,4) "
+         "NULL:N(2;1,4) NULL:N(2;1,3) NULL:N(3;1,4) NULL:N(3;1,2) "
+         "NULL:N(4;1,3) NULL:N(4;1,2) NULL:N(2;0,4) NULL:N(2;0,3) "
+         "NULL:N(2;0,1) NULL:N(2;3,4) NULL:N(3;2,4) NULL:N(4;2,3) "
+         "NULL:N(3;0,4) NULL:N(3;0,2) NULL:N(3;0,1) NULL:N(4;0,3) "
+         "NULL:N(4;0,2) NULL:N(4;0,1)"
+     ),
+     "b58f1d7394d5b2591d0e1458085eebcf4ae43cc83992ec3ea941fbea34639756"),
+    (max_null, 6, "full", 27,
+     (
+         "NULL:N(0;1,2) NULL:N(0;1,3) NULL:N(0;1,4) NULL:N(0;2,3) "
+         "NULL:N(0;2,4) NULL:N(0;3,4) NULL:N(0;1,5) NULL:N(0;2,5) "
+         "NULL:N(0;3,5) NULL:N(0;4,5) NULL:N(1;0,5) NULL:N(1;0,4) "
+         "NULL:N(1;0,3) NULL:N(1;0,2) NULL:N(1;2,3) NULL:N(1;2,4) "
+         "NULL:N(1;3,4) NULL:N(1;2,5) NULL:N(1;3,5) NULL:N(1;4,5) "
+         "NULL:N(2;1,5) NULL:N(2;1,4) NULL:N(2;1,3) NULL:N(3;1,5) "
+         "NULL:N(3;1,4) NULL:N(3;1,2) NULL:N(4;1,5) NULL:N(4;1,3) "
+         "NULL:N(4;1,2) NULL:N(5;1,4) NULL:N(5;1,3) NULL:N(5;1,2) "
+         "NULL:N(2;0,5) NULL:N(2;0,4) NULL:N(2;0,3) NULL:N(2;0,1) "
+         "NULL:N(2;3,4) NULL:N(2;3,5) NULL:N(2;4,5) NULL:N(3;2,5) "
+         "NULL:N(3;2,4) NULL:N(4;2,5) NULL:N(4;2,3) NULL:N(5;2,4) "
+         "NULL:N(5;2,3) NULL:N(3;0,5) NULL:N(3;0,4) NULL:N(3;0,2) "
+         "NULL:N(3;0,1) NULL:N(3;4,5) NULL:N(4;3,5) NULL:N(5;3,4) "
+         "NULL:N(4;0,5) NULL:N(4;0,3) NULL:N(4;0,2) NULL:N(4;0,1) "
+         "NULL:N(5;0,4) NULL:N(5;0,3) NULL:N(5;0,2) NULL:N(5;0,1)"
+     ),
+     "4fca79aff085df1340c833c0e6c6c8ae9fe6a5fde2ea72502575407225efc4e1"),
+    (max_null, 4, "partial", 9,
+     (
+         "NULL:OMEGA(1,3) NULL:OMEGA(1,2) NULL:OMEGA(2,3) NULL:OMEGA(0,3) "
+         "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "afd4f9d6a3ebc69cc82b337809c8e45aada67d1a011b99604b9244c47bda8a91"),
+    (max_null, 5, "partial", 27,
+     (
+         "NULL:OMEGA(1,4) NULL:OMEGA(1,3) NULL:OMEGA(1,2) NULL:OMEGA(2,4) "
+         "NULL:OMEGA(2,3) NULL:OMEGA(3,4) NULL:OMEGA(0,4) NULL:OMEGA(0,3) "
+         "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "51a5ff0409f94255b832407158ad584914c5631083d3b44c01d980704669fcee"),
 ]
 
 
@@ -519,11 +683,11 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_commutative_idempotent(7, "partial")
         with pytest.raises(ValueError):
-            max_unique_idempotent(7, "full")
+            max_unique_idempotent(8, "full")
         with pytest.raises(ValueError):
             max_unique_idempotent(6, "partial")
         with pytest.raises(ValueError):
-            max_null(7, "full")
+            max_null(8, "full")
         with pytest.raises(ValueError):
             max_null(6, "partial")
         with pytest.raises(ValueError, match="capped"):

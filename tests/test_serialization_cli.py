@@ -769,8 +769,8 @@ class TestCliVerify:
 VERIFY_RANGES = {
     "comm-max": {"full": (2, 6), "partial": (2, 4)},
     "idem-max": {"full": (1, 7), "partial": (1, 6)},
-    "unique-idem-max": {"full": (1, 6), "partial": (1, 5)},
-    "null-max": {"full": (1, 6), "partial": (1, 5)},
+    "unique-idem-max": {"full": (1, 7), "partial": (1, 5)},
+    "null-max": {"full": (1, 7), "partial": (1, 5)},
     "abelian-max": {"full": (2, 7), "partial": None},
     "pclique": {"full": (2, 6), "partial": (2, 4)},
     "girth": {"full": (2, 6), "partial": (2, 5)},

@@ -11,6 +11,7 @@ for humans is 1-based, with "-" for an undefined image.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -330,7 +331,14 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    ``parse_args`` returns a fresh namespace on each call and looks up
+    ``sys.stdout`` and ``sys.stderr`` only when it prints, so one parser
+    serves every :func:`run`.
+    """
     parser = argparse.ArgumentParser(
         prog="commsemi",
         description="Extremal commutative subsemigroups of finite transformation semigroups.",

@@ -8,13 +8,15 @@ from collections import Counter
 import pytest
 
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
-from commsemi.graphs import commuting_rows, max_clique_bits
+from commsemi.graphs import build, commuting_rows, max_clique, max_clique_bits
 from commsemi.oracle import (
     ABELIAN_ORDERS,
     CLAIMS,
     _checked_set,
+    _class_pools,
     _omega_orbits,
     _orbit_key,
+    _search,
     _tag_commutative,
     _tag_null,
     closure_check_stats,
@@ -243,6 +245,117 @@ class TestOrbits:
             assert null_omega(f, pool) == null_omega(g, rep)
 
 
+def whole_pool(S):
+    """Every maximum clique of the commuting graph on all of S, as a search result.
+
+    The route that the class pools replaced: one search over every row.
+    """
+    items = S.elements
+    size, cliques, _ = max_clique_bits(commuting_rows(items), ties=True)
+    sets = sorted((SemigroupSet([items[i] for i in K]) for K in cliques), key=lambda T: T.images)
+    return size, tuple(sets), tuple(map(_tag_commutative, sets))
+
+
+def idempotent_pool(kind):
+    return lambda n: _idempotent_maps(n, kind)
+
+
+# (search, its whole pool at degree n, kind, top degree compared)
+CLASS_POOL_CASES = [
+    (max_commutative, enumerate_full, "full", 5),
+    (max_commutative, enumerate_partial, "partial", 4),
+    (max_commutative_idempotent, idempotent_pool("full"), "full", 6),
+    (max_commutative_idempotent, idempotent_pool("partial"), "partial", 5),
+]
+
+
+class TestClassPools:
+    """comm-max and idem-max search one pool per conjugacy class of idempotents."""
+
+    @pytest.mark.parametrize("search, pool, kind, top", CLASS_POOL_CASES)
+    def test_same_result_as_the_whole_pool(self, search, pool, kind, top):
+        for n in range(1, top + 1):
+            assert search(n, kind) == whole_pool(pool(n)), n
+
+    @pytest.mark.parametrize(
+        "enum, n, kind",
+        [(enumerate_full, 3, "full"), (enumerate_full, 4, "full"), (enumerate_partial, 3, "partial")],
+        ids=["T3", "T4", "P3"],
+    )
+    def test_every_maximum_clique_against_networkx(self, enum, n, kind):
+        nx = pytest.importorskip("networkx")
+        S = enum(n)
+        G = nx.Graph()
+        G.add_nodes_from(S.images)
+        G.add_edges_from(
+            (a.img, b.img) for a, b in itertools.combinations(S, 2) if a * b == b * a
+        )
+        cliques = list(nx.find_cliques(G))
+        size = max(map(len, cliques))
+        r = max_commutative(n, kind)
+        assert r.size == size
+        assert {frozenset(T.images) for T in r.maximizers} == {
+            frozenset(K) for K in cliques if len(K) == size
+        }
+        assert len(r.maximizers) == len(set(r.maximizers))
+
+    @pytest.mark.parametrize(
+        "S",
+        [enumerate_full(4), enumerate_partial(3), _idempotent_maps(5, "full")],
+        ids=["T4", "P3", "E(T5)"],
+    )
+    def test_pool_order_does_not_matter(self, S):
+        # each pool's floor is the best size so far, which ties still reach
+        pools = list(_class_pools(S))
+        assert len(pools) > 2
+
+        def search(pools):
+            return _search(pools, "a test", _tag_commutative, lambda T, _: True, conjugate=True)
+
+        want = search(pools)
+        rng = random.Random(7)
+        for _ in range(6):
+            rng.shuffle(pools)
+            assert search(pools) == want
+
+    def test_pools_cover_one_class_each(self):
+        # keys: one idempotent per class of non-central idempotents, then the identity
+        S = enumerate_full(5)
+        keys = [f for f, _, _ in _class_pools(S)]
+        assert keys[-1] == Transformation.identity(5)
+        assert sorted(_orbit_key(f.img) for f in keys[:-1]) == sorted(
+            {_orbit_key(e.img) for e in idempotents(S)} - {(1,) * 5}
+        )
+        sizes = [len(items) for _, items, _ in _class_pools(S)]
+        assert sizes[-1] == 120  # the permutations, whose ω-power is the identity
+
+
+class TestPclique:
+    @pytest.mark.parametrize(
+        "enum, kind, degrees",
+        [(enumerate_full, "full", range(2, 6)), (enumerate_partial, "partial", range(2, 5))],
+    )
+    def test_witness_is_the_clique_search_witness(self, enum, kind, degrees):
+        # the least maximizer minus the center, in canonical order, is the
+        # clique that one search of the whole commuting graph finds first
+        for n in degrees:
+            S = enum(n)
+            old = max_clique(build(S))
+            size, (witness,) = CLAIMS["pclique"].compute(n, kind)
+            assert size == old.size
+            assert witness == SemigroupSet([S.elements[i] for i in old.witness])
+
+    def test_witness_is_the_least_maximizer_minus_the_center(self):
+        r = max_commutative(4, "partial")
+        size, (witness,) = CLAIMS["pclique"].compute(4, "partial")
+        center = {PartialTransformation([0, 1, 2, 3]), PartialTransformation.empty(4)}
+        assert size == r.size - 2
+        assert witness == min(
+            (SemigroupSet([a for a in T if a not in center]) for T in r.maximizers),
+            key=lambda T: T.images,
+        )
+
+
 class TestMaxNull:
     def test_full_2(self):
         r = max_null(2, "full")
@@ -279,8 +392,11 @@ class TestMaxNull:
 
 
 # Every maximizer of the four clique searches at the cheap degrees, comm-max
-# at T6, idem-max at its top degrees T7 and P6, and the unique-idempotent and
-# null searches at T5, T6, P4 and P5, recorded from a search of every ω-class:
+# at T6, idem-max at T7 and P6, and the unique-idempotent and null searches at
+# T5, T6, P4 and P5, recorded from a search of every ω-class or, for comm-max
+# and idem-max, of the whole pool; comm-max at P5 and idem-max at its top
+# degrees T8 and P7, recorded from the search of one pool per conjugacy class
+# and equal to E(I_5), the eight Γ(8, x) and E(I_7) as built by `extremal`:
 # (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
 # semigroup digests of the maximizers, in the order returned).
 PINNED_MAXIMIZERS = [
@@ -308,6 +424,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative, 3, "partial", 8,
      "EIX",
      "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_commutative, 5, "partial", 32,
+     "EIX",
+     "75579b72a89168569fdaa2eee20f5c1c17459ed59046c8b736f4359a31ead66c"),
     (max_commutative_idempotent, 1, "full", 1,
      "GAMMA:0",
      "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
@@ -323,6 +442,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 7, "full", 64,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5 GAMMA:6",
      "bcf3b517dccee8984d0ebd2235ca57a3fa9b6272af81377de5ff1f53b581abca"),
+    (max_commutative_idempotent, 8, "full", 128,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5 GAMMA:6 GAMMA:7",
+     "24d62b06677464dd74f43bcb5612cca963684549064ea63adab67157dad4245c"),
     (max_commutative_idempotent, 1, "partial", 2,
      "EIX",
      "14f7f02a1d5ade08e6b4ca4afc1b727950ed5313f9ca95b90fe063ebcefa88ea"),
@@ -335,6 +457,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 6, "partial", 64,
      "EIX",
      "6ad48b10693ca7c6f3886c400d083bc42c042f26eb872a28f4e71891613d66dd"),
+    (max_commutative_idempotent, 7, "partial", 128,
+     "EIX",
+     "e38a4b7426afc22dbe3b1c31b2da999345d6a596e5757d1ac4c4a5ff08835668"),
     (max_unique_idempotent, 1, "full", 1,
      "GROUP:C1",
      "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
@@ -677,11 +802,13 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_commutative(7, "full")
         with pytest.raises(ValueError):
-            max_commutative(5, "partial")
+            max_commutative(6, "partial")
         with pytest.raises(ValueError):
-            max_commutative_idempotent(8, "full")
+            max_commutative_idempotent(9, "full")
         with pytest.raises(ValueError):
-            max_commutative_idempotent(7, "partial")
+            max_commutative_idempotent(8, "partial")
+        with pytest.raises(ValueError, match="capped"):
+            CLAIMS["pclique"].compute(6, "partial")
         with pytest.raises(ValueError):
             max_unique_idempotent(8, "full")
         with pytest.raises(ValueError):

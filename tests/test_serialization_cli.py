@@ -258,6 +258,37 @@ class TestCliBasics:
         assert cli.run(["xi", "--max", "1001"]) == 2
         assert "capped at 1000" in capsys.readouterr().err
 
+    def test_one_parser_serves_every_run(self, capsys, tmp_path):
+        # the parser is built once per process: no option of one run may
+        # reach the next, and every run keeps its own output and exit code
+        csv_path, t3 = tmp_path / "xi.csv", str(tmp_path / "t3.json")
+        write_semigroup_file(enumerate_full(3), t3)
+        runs = [
+            (["xi", "--max", "3", "--csv", str(csv_path)], 0, f"wrote {csv_path}", ""),
+            (["xi", "--max", "3"], 0, "alpha", ""),
+            (["xi", "--max", "three"], 2, "", "invalid int value"),
+            (["graph", t3, "--clique"], 0, "clique number: 3", ""),
+            (["graph", t3], 0, "center size: 1", ""),
+            (["verify", "--claim", "chromatic", "--n", "3", "--kind", "full"], 2, "",
+             "invalid choice"),
+            (["verify", "--claim", "comm-max", "--n", "3", "--kind", "full"], 0,
+             "computed=4 match=True", ""),
+            (["verify", "--claim", "comm-max", "--n", "9", "--kind", "full"], 2, "",
+             "no published value"),
+            (["--help"], 0, "verify", ""),
+            ([], 2, "", "required"),
+        ]
+        seen = []
+        for _ in range(2):
+            for argv, code, out, err in runs:
+                assert cli.run(argv) == code, argv
+                captured = capsys.readouterr()
+                assert out in captured.out and err in captured.err, argv
+                seen.append((captured.out, captured.err))
+        assert seen[: len(runs)] == seen[len(runs) :]
+        assert "wrote" not in seen[1][0] and "clique number" not in seen[4][0]
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestCliConstruct:
     def test_gamma(self, capsys, tmp_path):
@@ -749,8 +780,8 @@ class TestCliVerify:
         assert runs[0][1] == 9 and runs[0][2]
 
     def test_cap_exceeded(self, capsys):
-        # published at partial 5, computed to partial 4
-        assert cli.run(["verify", "--claim", "pclique", "--n", "5", "--kind", "partial"]) == 2
+        # published at partial 6, computed to partial 5
+        assert cli.run(["verify", "--claim", "null-max", "--n", "6", "--kind", "partial"]) == 2
         assert "capped" in capsys.readouterr().err
 
     def test_unknown_claim(self, capsys):
@@ -767,12 +798,12 @@ class TestCliVerify:
 
 # Degrees `verify` accepts, per claim and kind (inclusive ranges; None = none).
 VERIFY_RANGES = {
-    "comm-max": {"full": (2, 6), "partial": (2, 4)},
-    "idem-max": {"full": (1, 7), "partial": (1, 6)},
+    "comm-max": {"full": (2, 6), "partial": (2, 5)},
+    "idem-max": {"full": (1, 8), "partial": (1, 7)},
     "unique-idem-max": {"full": (1, 7), "partial": (1, 5)},
     "null-max": {"full": (1, 7), "partial": (1, 5)},
     "abelian-max": {"full": (2, 7), "partial": None},
-    "pclique": {"full": (2, 6), "partial": (2, 4)},
+    "pclique": {"full": (2, 6), "partial": (2, 5)},
     "girth": {"full": (2, 6), "partial": (2, 5)},
     "knit": {"full": (2, 6), "partial": (2, 5)},
     "xi-table": {"full": (1, 20), "partial": (1, 20)},

@@ -16,6 +16,7 @@ at a time on the bit rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroups import SemigroupSet, _central_flags, _commutes_with
+from .semigroups import SemigroupSet, _commute_with_all, _commutes_with
 from .transform import _FILL, _raw, product
 
 INFINITY = math.inf
@@ -178,7 +179,7 @@ def build(S: SemigroupSet) -> CommGraph:
         raise ValueError(
             "commutative input has an empty commuting graph (every element is central)"
         )
-    central = _central_flags(S)
+    central = _commute_with_all(S.images, S.images)
     noncentral = list(map(operator.not_, central))
     vertices = tuple(itertools.compress(range(len(S)), noncentral))
     center_indices = tuple(itertools.compress(range(len(S)), central))
@@ -414,12 +415,9 @@ def shortest_left_path(S: SemigroupSet, max_len: int = 4) -> list | None:
         x = imgs[i]
         return _commutes_with(x, x + fill, imgs, map(operator.add, imgs, itertools.repeat(fill)))
 
-    central_memo: dict[int, bool] = {}
-
+    @functools.cache
     def central(i: int) -> bool:
-        if i not in central_memo:
-            central_memo[i] = all(commuters(i))
-        return central_memo[i]
+        return _commute_with_all((imgs[i],), imgs)[0]
 
     def steps(path: list[int]):
         return (

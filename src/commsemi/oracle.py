@@ -57,8 +57,8 @@ from .semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
     _all_commute,
-    _central_flags,
     _closure_images,
+    _commute_with_all,
     _commutes_with,
     _from_images,
     _idempotent_maps,
@@ -212,15 +212,15 @@ def _tag_unique_idem(T: SemigroupSet) -> str:
 # the five oracle searches
 
 
-def _search(pools, context: str, tag, check, conjugate: bool = False) -> OracleResult:
+def _search(pools, context: str, tag, check) -> OracleResult:
     """Every maximum clique over the pools that reach the best clique number.
 
     Each pool is ``(key, items, adj)`` with ``adj`` a bitset adjacency on
     ``items``, searched with the best size so far as its floor, so the
-    result does not depend on the order of the pools.  With ``conjugate``,
-    each key is an idempotent f whose pool stands for the pools of all its
-    conjugates, and each final clique K is listed as σ⁻¹Kσ, keyed σ⁻¹fσ, for
-    one σ per conjugate (:func:`_conjugates`).  Conjugate pools share a
+    result does not depend on the order of the pools.  Each key is an
+    idempotent f whose pool stands for the pools of all its conjugates, and
+    each final clique K is listed as σ⁻¹Kσ, keyed σ⁻¹fσ, for one σ per
+    conjugate (:func:`_conjugates`).  Conjugate pools share a
     set that holds several conjugates of f, so each set is kept once.  Only
     the final answers are re-checked by :func:`_checked_set`, must satisfy
     ``check(T, key)`` and are labelled by ``tag(T)``; they come back in
@@ -234,8 +234,7 @@ def _search(pools, context: str, tag, check, conjugate: bool = False) -> OracleR
         found.append((key, [[items[i] for i in K] for K in cliques]))
     results, seen = [], set()
     for key, cliques in found:
-        listed = _conjugates(key, cliques) if conjugate else [(key, K) for K in cliques]
-        for key, K in listed:
+        for key, K in _conjugates(key, cliques):
             members = frozenset(a.img for a in K)
             if members in seen:
                 continue
@@ -255,20 +254,25 @@ def _conjugates(f, cliques):
     table, then σ's; σ fixes ⊥, so partial maps conjugate alike.  The σ
     that fix f permute the maximum cliques of f's pool among themselves,
     and those are all given, so one σ per conjugate lists every maximizer
-    of the conjugate pools.
+    of the conjugate pools.  The conjugates are walked from f by the
+    generators (0 1) and (0 1 … n−1) of Sym_n, one step per conjugate: a
+    step takes σ to γ∘σ, which takes f to γ∘g∘γ⁻¹ for the g that σ gave.
     """
     cls, n = type(f), len(f.img)
     fill, identity = _FILL[n], bytes(range(n))
     tables = [[a.img + fill for a in K] for K in cliques]
-    seen = set()
-    for s in map(bytes, itertools.permutations(identity)):
-        inverse = bytes.maketrans(s, identity)[:n]
-        table = s + fill
-        g = inverse.translate(f.img + fill).translate(table)
-        if g not in seen:
-            seen.add(g)
-            for K in tables:
-                yield _raw(cls, g), [_raw(cls, inverse.translate(t).translate(table)) for t in K]
+    swap, cycle = identity[1::-1] + identity[2:], identity[1:] + identity[:1]  # (0 1), (0 1 … n−1)
+    steps = [(gen + fill, bytes.maketrans(gen, identity)[:n]) for gen in (swap, cycle)]
+    walk, seen = [(identity, f.img)], {f.img}
+    for s, g in walk:  # walk grows while it is read
+        inverse, table = bytes.maketrans(s, identity)[:n], s + fill
+        for K in tables:
+            yield _raw(cls, g), [_raw(cls, inverse.translate(t).translate(table)) for t in K]
+        for step, step_inverse in steps:
+            h = step_inverse.translate(g + fill).translate(step)
+            if h not in seen:
+                seen.add(h)
+                walk.append((s.translate(step), h))
 
 
 def _orbit_key(f: bytes) -> tuple[int, ...]:
@@ -355,14 +359,8 @@ def max_commutative(n: int, kind: str) -> OracleResult:
     ω-power: the permutations in T_n, and the nilpotents too in P_n
     (:func:`_class_pools`).
     """
-    S = _enumerate("comm-max", n, kind)
-    return _search(
-        _class_pools(S),
-        f"max_commutative({n},{kind})",
-        _tag_commutative,
-        lambda T, _: True,
-        conjugate=True,
-    )
+    pools = _class_pools(_enumerate("comm-max", n, kind))
+    return _search(pools, f"max_commutative({n},{kind})", _tag_commutative, lambda T, _: True)
 
 
 def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
@@ -378,7 +376,6 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
         f"max_commutative_idempotent({n},{kind})",
         _tag_commutative,
         lambda T, _: len(idempotents(T)) == len(T),
-        conjugate=True,
     )
 
 
@@ -398,7 +395,6 @@ def max_unique_idempotent(n: int, kind: str) -> OracleResult:
         f"max_unique_idempotent({n},{kind})",
         _tag_unique_idem,
         lambda T, f: idempotents(T) == [f],
-        conjugate=True,
     )
 
 
@@ -424,21 +420,18 @@ def max_null(n: int, kind: str) -> OracleResult:
         zero, tz = z.img, z.img + fill
         nil = [a for a in cls if a.img.translate(tz) == zero == zero.translate(a.img + fill)]
         items = [a for a in nil if a.img.translate(a.img + fill) == zero]
+        nil = items + [a for a in nil if a.img.translate(a.img + fill) != zero]
+        rows = commuting_rows(nil)
         tables = [a.img + fill for a in items]
+        mask = (1 << len(items)) - 1
         adj = [
-            sum(1 << j for j in _bits_to_list(row) if a.img.translate(tables[j]) == zero)
-            for a, row in zip(items, commuting_rows(items))
+            sum(1 << j for j in _bits_to_list(row & mask) if a.img.translate(tables[j]) == zero)
+            for a, row in zip(items, rows)
         ]
         pools.append((z, items, adj))
-        # independent route: largest commutative nilpotent subsemigroup
-        best_nilpotent = max_clique_bits(commuting_rows(nil), best_nilpotent)[0]
-    r = _search(
-        pools,
-        f"max_null({n},{kind})",
-        _tag_null,
-        lambda T, z: is_null(T) == (True, z),
-        conjugate=True,
-    )
+        # independent route: largest commutative nilpotent subsemigroup, on the same rows
+        best_nilpotent = max_clique_bits(rows, best_nilpotent)[0]
+    r = _search(pools, f"max_null({n},{kind})", _tag_null, lambda T, z: is_null(T) == (True, z))
     if best_nilpotent != r.size:
         raise RuntimeError(
             f"nilpotent maximum {best_nilpotent} disagrees with null maximum {r.size} "
@@ -598,14 +591,14 @@ def _compute_pclique(n: int, kind: str):
     The center commutes with everything, so the graph's maximum cliques are
     the maximizers of :func:`max_commutative` minus the center; those hold
     the ω-power of each member, and are found one conjugacy class of
-    idempotents at a time (:func:`_class_pools`).  The witness is the least
-    in canonical order.
+    idempotents at a time (:func:`_class_pools`).  The center lies in every
+    maximizer, so only the first one's maps are tested.  The witness is the
+    least in canonical order.
     """
     S = _enumerate("pclique", n, kind)
-    r = _search(
-        _class_pools(S), f"pclique({n},{kind})", _tag_commutative, lambda T, _: True, conjugate=True
-    )
-    center = set(itertools.compress(S.images, _central_flags(S)))
+    r = _search(_class_pools(S), f"pclique({n},{kind})", _tag_commutative, lambda T, _: True)
+    first = r.maximizers[0].images
+    center = set(itertools.compress(first, _commute_with_all(first, S.images)))
     cliques = [[a for a in T.images if a not in center] for T in r.maximizers]
     return r.size - len(center), (_from_images(S.element_class, min(cliques)),)
 

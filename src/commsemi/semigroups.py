@@ -294,28 +294,32 @@ def center(S: SemigroupSet) -> tuple[AnyTransformation, ...]:
     _require_closed(S, "center")
     if S.is_commutative():
         return S.elements
-    return tuple(itertools.compress(S, _central_flags(S)))
+    return tuple(itertools.compress(S, _commute_with_all(S.images, S.images)))
 
 
-def _central_flags(S: SemigroupSet) -> list[bool]:
-    """For each image of S in turn, whether it commutes with all of S: on image bytes.
+def _commute_with_all(candidates: Iterable[bytes], pool: Sequence[bytes]) -> list[bool]:
+    """For each candidate image in turn, whether it commutes with every image of ``pool``.
 
-    The element that last refuted one is tried first, since it tends to
-    refute the next as well (in T_n, a constant map c refutes every map
-    that moves c), so most maps cost two products.
+    All are images of one degree.  The pool image that last refuted a
+    candidate is tried first, since it tends to refute the next as well (in
+    T_n, a constant map c refutes every map that moves c), so most
+    candidates cost two products.  Tables are made as they are read: one
+    per map of a whole T6 would hold 12 MB.
     """
-    imgs, tables = _images_and_tables(S)
+    fill = _FILL[len(pool[0])]
     flags = []
-    last = 0  # the index of the element that last refuted one
-    for x, t in zip(imgs, tables):
-        if x.translate(tables[last]) != imgs[last].translate(t):
-            flags.append(False)
-            continue
-        fails = map(operator.not_, _commutes_with(x, t, imgs, tables))
-        refuter = next(itertools.compress(itertools.count(), fails), None)
+    y = pool[0]  # the image that last refuted a candidate, and its table
+    ty = y + fill
+    for x in candidates:
+        tx = x + fill
+        refuter = y
+        if x.translate(ty) == y.translate(tx):
+            tables = map(operator.add, pool, itertools.repeat(fill))
+            fails = map(operator.not_, _commutes_with(x, tx, pool, tables))
+            refuter = next(itertools.compress(pool, fails), None)
+            if refuter is not None:
+                y, ty = refuter, refuter + fill
         flags.append(refuter is None)
-        if refuter is not None:
-            last = refuter
     return flags
 
 

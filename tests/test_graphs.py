@@ -28,7 +28,7 @@ from commsemi.graphs import (
     shortest_left_path,
     write_adjacency,
 )
-from commsemi.oracle import max_abelian_subgroup, max_commutative, max_null
+from commsemi.oracle import CLAIMS, max_abelian_subgroup, max_commutative, max_null
 from commsemi.serialization import semigroup_digest, write_semigroup_file
 from commsemi.semigroups import (
     ClosureLimitExceeded,
@@ -789,6 +789,40 @@ class TestGirth:
         assert made == []  # build makes no row
         assert girth(g) == 3
         assert 1 <= len(made) <= 3
+
+
+# pclique's size and its witness's digest at every accepted degree
+PCLIQUE_WITNESSES = [
+    ("full", 2, 1, "70bf3322eec6f3ee3803295f299f80ccc6ccad71ceee4dded325fd11fc12ff71"),
+    ("full", 3, 3, "5f76d537226e992bdd8e9f6380a0d648533ba316e37befe2ffac90da52acedc5"),
+    ("full", 4, 7, "168e11e837fb72c9b843575c95ba6f6dc9b56af761b63af7bda267407dd6003d"),
+    ("full", 5, 15, "a53fe868ce3bb5cd0a3a03d7a6cca761502f1beb3bd11a6f0803b2e4854111bf"),
+    ("full", 6, 31, "f678b95fdb4c9de5c93e184facaeb883d8bfaccd42c195ce5fb876c999ca5c76"),
+    ("partial", 2, 2, "7bf09bb888dc27f371206ef4e52c2c2ec35782779a962e084dab80cca333ba1e"),
+    ("partial", 3, 6, "b4bac5a1650529c5be1bc82f14002fe28135186aa4977965f28a267cc18b5fc0"),
+    ("partial", 4, 14, "48ac2e166f248f4f9d51998fec1310b3879b62d07c4611a18948558a012b9bd3"),
+    ("partial", 5, 30, "30e62d5c73578f7fafda810ae4618c81d003c100141c289ee52b7284dbb5b35d"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, size, digest",
+    PCLIQUE_WITNESSES,
+    ids=[f"{'T' if kind == 'full' else 'P'}{n}" for kind, n, _, _ in PCLIQUE_WITNESSES],
+)
+def test_centrality_results_at_every_accepted_degree(kind, n, size, digest):
+    # center, build, knit and pclique all decide centrality by one routine
+    S = enumerate_full(n) if kind == "full" else enumerate_partial(n)
+    cls = S.element_class
+    want = [cls.identity(n)] + ([cls.empty(n)] if kind == "partial" else [])
+    assert list(center(S)) == want
+    g = build(S)
+    assert [S.elements[i] for i in g.center_indices] == want
+    assert len(g.vertices) == len(S) - len(want)
+    path = shortest_left_path(S)
+    assert path == (None if n == 2 else [cls([0] * n), cls([0] * (n - 1) + [1])])
+    clique, (witness,) = CLAIMS["pclique"].compute(n, kind)
+    assert (clique, semigroup_digest(witness)) == (size, digest)
 
 
 def count_rows_made(monkeypatch):

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from commsemi import oracle
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
 from commsemi.graphs import build, commuting_rows, max_clique, max_clique_bits
 from commsemi.oracle import (
@@ -14,6 +15,7 @@ from commsemi.oracle import (
     CLAIMS,
     _checked_set,
     _class_pools,
+    _conjugates,
     _omega_orbits,
     _orbit_key,
     _search,
@@ -244,6 +246,24 @@ class TestOrbits:
             assert omega(pool) == omega(rep)
             assert null_omega(f, pool) == null_omega(g, rep)
 
+    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_conjugates_walk_lists_what_every_permutation_lists(self, enum, n):
+        # one σ per conjugate, walked by (0 1) and (0 1 … n−1), against all n! of them
+        S = enum(n)
+        pools = list(_class_pools(S))
+        pools += [(f, items, commuting_rows(items)) for f, items in _omega_orbits(S)]
+        for f, items, adj in pools:
+            cliques = [[items[i] for i in K] for K in max_clique_bits(adj, ties=True)[1]]
+            walked = [(g.img, frozenset(a.img for a in K)) for g, K in _conjugates(f, cliques)]
+            every = {
+                (conjugate(f, s).img, frozenset(conjugate(a, s).img for a in K))
+                for s in itertools.permutations(range(n))
+                for K in cliques
+            }
+            assert set(walked) == every
+            # each conjugate once, with each clique once
+            assert len(walked) == len({g for g, _ in every}) * len(cliques)
+
 
 def whole_pool(S):
     """Every maximum clique of the commuting graph on all of S, as a search result.
@@ -310,7 +330,7 @@ class TestClassPools:
         assert len(pools) > 2
 
         def search(pools):
-            return _search(pools, "a test", _tag_commutative, lambda T, _: True, conjugate=True)
+            return _search(pools, "a test", _tag_commutative, lambda T, _: True)
 
         want = search(pools)
         rng = random.Random(7)
@@ -344,6 +364,21 @@ class TestPclique:
             size, (witness,) = CLAIMS["pclique"].compute(n, kind)
             assert size == old.size
             assert witness == SemigroupSet([S.elements[i] for i in old.witness])
+
+    def test_center_is_sought_in_the_first_maximizer_only(self, monkeypatch):
+        # the center lies in every maximizer, so no other map is tested
+        tested = []
+        routine = oracle._commute_with_all
+
+        def spy(candidates, pool):
+            candidates = list(candidates)
+            tested.append(candidates)
+            return routine(candidates, pool)
+
+        monkeypatch.setattr(oracle, "_commute_with_all", spy)
+        size, _ = CLAIMS["pclique"].compute(5, "full")
+        assert size == 15
+        assert tested == [list(max_commutative(5, "full").maximizers[0].images)]
 
     def test_witness_is_the_least_maximizer_minus_the_center(self):
         r = max_commutative(4, "partial")

@@ -11,6 +11,7 @@ from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
     _closure_images,
+    _commute_with_all,
     _from_images,
     center,
     classify_small_abelian_group,
@@ -404,6 +405,35 @@ class TestCenter:
     def test_requires_closed(self):
         with pytest.raises(ValueError):
             center(SemigroupSet([Transformation([1, 2, 0])]))
+
+    @pytest.mark.parametrize(
+        "S",
+        [enumerate_full(3), enumerate_full(4), enumerate_partial(3), enumerate_sym(4)],
+        ids=["T3", "T4", "P3", "S4"],
+    )
+    def test_commute_with_all_against_every_pair(self, S):
+        want = [all(a * b == b * a for b in S) for a in S]
+        assert _commute_with_all(S.images, S.images) == want
+        # candidate subsets, central ones among them, in shuffled orders, so
+        # that the image tried first is not the one that refuted the last
+        rng = random.Random(5)
+        central = [i for i, w in enumerate(want) if w]
+        for _ in range(20):
+            picks = rng.sample(range(len(S)), min(len(S), rng.randint(1, 40))) + central
+            rng.shuffle(picks)
+            flags = _commute_with_all([S.images[i] for i in picks], S.images)
+            assert flags == [want[i] for i in picks]
+
+    def test_commute_with_all_candidates_outside_the_pool(self):
+        # only the identity of T4 commutes with all of Sym_4
+        T4, S4 = enumerate_full(4), enumerate_sym(4)
+        want = [all(a * b == b * a for b in S4) for a in T4]
+        assert sum(want) == 1
+        assert _commute_with_all(T4.images, S4.images) == want
+
+    def test_commute_with_all_empty_center(self):
+        constants = closure([Transformation.constant(3, x) for x in range(3)])
+        assert _commute_with_all(constants.images, constants.images) == [False] * 3
 
     def test_random_closures_against_the_definition(self):
         # closures of a few random maps, some with the identity, so that the

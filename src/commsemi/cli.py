@@ -34,6 +34,7 @@ from .serialization import (
     write_semigroup_file,
     write_xi_csv,
 )
+from .transform import _label
 
 _PRINT_LIMIT = 64
 
@@ -53,16 +54,11 @@ _MAX_XI_ROWS = 1000
 _CONSTRUCT_TOP = {"gamma": 17, "eix": 16, "nullmax": 12, "omega": 11, "nullid": 12, "abelian": 31}
 
 
-def _fmt_map(a) -> str:
-    n = a.degree
-    return " ".join("-" if v == n else str(v + 1) for v in a.img)
-
-
 def _print_set(S: SemigroupSet) -> None:
     print(f"kind={S.kind} degree={S.degree} size={len(S)}")
     if len(S) <= _PRINT_LIMIT:
         for a in S:
-            print(f"  {_fmt_map(a)}")
+            print(f"  {_label(a.img)}")
     else:
         print(f"  ({len(S)} elements; use --out FILE for the full set)")
 
@@ -160,8 +156,8 @@ def _cmd_construct(args) -> int:
         a1, a2 = extremal.knit_witness(n)
         S = SemigroupSet([a1, a2])
         print("left-path witnesses (products all equal the first):")
-        print(f"  {_fmt_map(a1)}")
-        print(f"  {_fmt_map(a2)}")
+        print(f"  {_label(a1.img)}")
+        print(f"  {_label(a2.img)}")
     _print_set(S)
     if args.out:
         write_semigroup_file(S, args.out)
@@ -180,12 +176,12 @@ def _cmd_analyze(args) -> int:
     E = idempotents(S)
     print(f"idempotents: {len(E)}")
     if len(E) == 1:
-        print(f"unique idempotent: {_fmt_map(E[0])}")
+        print(f"unique idempotent: {_label(E[0].img)}")
     if not closed:
         print("(further structure needs a product-closed set)")
         return 0
     null, zero = is_null(S)
-    print(f"null: {null}" + (f" (zero: {_fmt_map(zero)})" if null else ""))
+    print(f"null: {null}" + (f" (zero: {_label(zero.img)})" if null else ""))
     print(f"nilpotent: {is_nilpotent(S)}")
     group = is_group(S)
     print(f"group: {group}")
@@ -237,7 +233,7 @@ def _cmd_nullify(args) -> int:
     ok, zero = is_null(trace.result)
     if not ok:
         raise RuntimeError("surgery output failed the null check")
-    print(f"output size: {len(trace.result)} (null, zero: {_fmt_map(zero)})")
+    print(f"output size: {len(trace.result)} (null, zero: {_label(zero.img)})")
     if args.out:
         write_semigroup_file(trace.result, args.out)
         print(f"wrote {args.out}")
@@ -259,7 +255,7 @@ def _cmd_graph(args) -> int:
         print(f"clique number: {res.size}")
         if res.size <= 32:
             for i in res.witness:
-                print(f"  {_fmt_map(S.elements[i])}")
+                print(f"  {_label(S.images[i])}")
     if args.girth:
         gi = graphs.girth(g)
         print(f"girth: {'infinity' if gi == math.inf else gi}")

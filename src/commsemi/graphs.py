@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .semigroups import SemigroupSet, _commute_with_all, _commutes_with
-from .transform import _FILL, _raw, product
+from .transform import _FILL, _label, _raw, product
 
 INFINITY = math.inf
 
@@ -464,11 +464,6 @@ def knit_degree(S: SemigroupSet, max_len: int = 4) -> int | None:
     return None if path is None else len(path) - 1
 
 
-def _vertex_label(a) -> str:
-    vals = [("-" if v == a.degree else str(v + 1)) for v in a.img]
-    return "[" + " ".join(vals) + "]"
-
-
 def graph_to_dot(g: CommGraph) -> str:
     lines = [
         f"// commuting graph: kind={g.kind} degree={g.degree} "
@@ -476,10 +471,11 @@ def graph_to_dot(g: CommGraph) -> str:
         "graph commuting {",
         "  node [shape=box fontsize=10];",
     ]
-    for v in range(g.vertex_count):
-        lines.append(f'  v{v} [label="{_vertex_label(g.element(v))}"];')
-    for v in range(g.vertex_count):
-        for w in _bits_to_list(g.adj[v]):
+    images = g.source.images
+    for v, i in enumerate(g.vertices):
+        lines.append(f'  v{v} [label="[{_label(images[i])}]"];')
+    for v, row in enumerate(g.adj):
+        for w in _bits_to_list(row):
             if w > v:
                 lines.append(f"  v{v} -- v{w};")
     lines.append("}")

@@ -42,25 +42,24 @@ _IMG = operator.attrgetter("img")
 
 
 def _class_of(types: set[type]) -> type:
-    """The element class for elements of these types; TypeError unless they share a kind.
+    """The one class of these element types; TypeError unless there is exactly one.
 
-    One type is its own class; several types of one kind give the kind's class.
+    Only ``Transformation`` and ``PartialTransformation`` themselves are
+    accepted: a subclass is refused like any other type.
     """
-    kinds = set()
     for cls in sorted(types, key=lambda c: c.__name__):
-        if issubclass(cls, Transformation):
-            kinds.add(Transformation)
-        elif issubclass(cls, PartialTransformation):
-            kinds.add(PartialTransformation)
-        else:
+        if cls is not Transformation and cls is not PartialTransformation:
             raise TypeError(f"unsupported element type {cls.__name__}")
-    if len(kinds) != 1:
+    if len(types) != 1:
         raise TypeError("elements must all be of the same kind")
-    return types.pop() if len(types) == 1 else kinds.pop()
+    return types.pop()
 
 
 class SemigroupSet:
     """Duplicate-free, canonically sorted set of transformations of one kind.
+
+    The elements must all be of one of the two classes themselves (see
+    :func:`_class_of`); the closed and commutative flags start unknown.
 
     The set *is* its ``images``: the sorted tuple of its elements' distinct
     image bytes ``a.img``, with ⊥ (stored as the degree) after every point,
@@ -79,18 +78,12 @@ class SemigroupSet:
         "_commutative",
     )
 
-    def __init__(
-        self,
-        elements: Iterable[AnyTransformation],
-        *,
-        closed: bool | None = None,
-        commutative: bool | None = None,
-    ):
+    def __init__(self, elements: Iterable[AnyTransformation]):
         elements = list(elements)
         if not elements:
             raise ValueError("a SemigroupSet needs at least one element")
         cls = _class_of(set(map(type, elements)))
-        _fill_set(self, cls, map(_IMG, elements), closed, commutative)
+        _fill_set(self, cls, map(_IMG, elements), None, None)
 
     @property
     def degree(self) -> int:
@@ -98,7 +91,7 @@ class SemigroupSet:
 
     @property
     def kind(self) -> str:
-        return FULL if issubclass(self.element_class, Transformation) else PARTIAL
+        return FULL if self.element_class is Transformation else PARTIAL
 
     @property
     def elements(self) -> tuple[AnyTransformation, ...]:
@@ -188,9 +181,10 @@ def _from_images(
 ) -> SemigroupSet:
     """The set of the elements of class ``cls`` with these images, built from bytes.
 
-    Every image must be a valid image of ``cls`` (see ``transform._raw``);
-    nothing checks it.  :class:`SemigroupSet` itself checks its elements'
-    kinds and then takes this same path.
+    Every image must be a valid image of ``cls`` (see ``transform._raw``)
+    and each flag given must hold; nothing checks either.  Only the
+    package's own builders preset the flags: :class:`SemigroupSet` checks
+    its elements' class and leaves both flags unknown.
     """
     S = object.__new__(SemigroupSet)
     _fill_set(S, cls, imgs, closed, commutative)
@@ -255,8 +249,9 @@ def closure(
     first = gens[0]
     for g in gens:
         compose(first, g)  # raises on a mixed kind or degree, with product's message
+    cls = _class_of({type(first)})
     imgs = _closure_images([g.img for g in gens], limit)
-    return _from_images(type(first), imgs, closed=True)
+    return _from_images(cls, imgs, closed=True)
 
 
 def _closure_images(gens: list[bytes], limit: int | None) -> list[bytes]:
@@ -471,11 +466,9 @@ def restrict_set(S: SemigroupSet, points: Iterable[int]) -> SemigroupSet:
     if S.kind != FULL:
         raise ValueError("restrict_set is defined for full transformations")
     ys = sorted(set(points))
-    restricted = [_restrict(a, ys) for a in S]
-    return SemigroupSet(
-        restricted,
-        closed=True if S._closed else None,
-        commutative=True if S._commutative else None,
+    restricted = [_restrict(a, ys).img for a in S]
+    return _from_images(
+        Transformation, restricted, closed=S._closed or None, commutative=S._commutative or None
     )
 
 

@@ -51,7 +51,11 @@ def _raw(cls: type, img: bytes):
 
 
 class _Map:
-    """What both kinds share: bytes images, canonical order, the product."""
+    """What both kinds share: bytes images, canonical order, the product.
+
+    Every method reads ⊥ = n as undefined, so one body serves both kinds: a
+    full map never holds n.
+    """
 
     __slots__ = ("img",)
 
@@ -74,6 +78,30 @@ class _Map:
     def __hash__(self) -> int:
         return hash((type(self), self.img))
 
+    @classmethod
+    def identity(cls, n: int):
+        return cls(range(n))
+
+    def __call__(self, x: int) -> int | None:
+        v = self.img[x]
+        return None if v == len(self.img) else v
+
+    def __repr__(self) -> str:
+        n = len(self.img)
+        return f"{type(self).__name__}({[None if v == n else v for v in self.img]})"
+
+    def image(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.img) - {len(self.img)}))
+
+    def rank(self) -> int:
+        return len(set(self.img) - {len(self.img)})
+
+
+def _label(img: bytes) -> str:
+    """A map's images as the CLI prints them: 1-based points, ``-`` for ⊥."""
+    n = len(img)
+    return " ".join("-" if v == n else str(v + 1) for v in img)
+
 
 class Transformation(_Map):
     """A total self-map of {0, ..., n-1}, immutable and hashable."""
@@ -89,26 +117,10 @@ class Transformation(_Map):
         self.img = bytes(img)
 
     @classmethod
-    def identity(cls, n: int) -> "Transformation":
-        return cls(range(n))
-
-    @classmethod
     def constant(cls, n: int, x: int) -> "Transformation":
         if not 0 <= x < n:
             raise ValueError(f"constant value {x} not in [0, {n})")
         return cls([x] * n)
-
-    def __call__(self, x: int) -> int:
-        return self.img[x]
-
-    def __repr__(self) -> str:
-        return f"Transformation({list(self.img)})"
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.img)))
-
-    def rank(self) -> int:
-        return len(set(self.img))
 
 
 class PartialTransformation(_Map):
@@ -132,29 +144,9 @@ class PartialTransformation(_Map):
     def empty(cls, n: int) -> "PartialTransformation":
         return cls([None] * n)
 
-    @classmethod
-    def identity(cls, n: int) -> "PartialTransformation":
-        return cls(range(n))
-
     def domain(self) -> tuple[int, ...]:
         n = self.degree
         return tuple(x for x, v in enumerate(self.img) if v != n)
-
-    def image(self) -> tuple[int, ...]:
-        n = self.degree
-        return tuple(sorted({v for v in self.img if v != n}))
-
-    def rank(self) -> int:
-        return len(self.image())
-
-    def __call__(self, x: int) -> int | None:
-        v = self.img[x]
-        return None if v == self.degree else v
-
-    def __repr__(self) -> str:
-        n = self.degree
-        shown = [None if v == n else v for v in self.img]
-        return f"PartialTransformation({shown})"
 
 
 AnyTransformation = Transformation | PartialTransformation

@@ -254,8 +254,7 @@ def test_criterion_09_tree_pipeline_worked_example():
                 Transformation([0, 0, 0, 0]),
                 Transformation([0, 0, 0, 1]),
                 Transformation([0, 0, 1, 0]),
-            ],
-            commutative=True,
+            ]
         )
         trace = nullify_trace(S, m_override=M)
         assert {tuple(a.img) for a in trace.result} == EXAMPLE_NULL_IMGS

@@ -1051,6 +1051,29 @@ class TestSerialization:
         assert dot.count(" -- ") == 1
         assert dot.endswith("}\n")
 
+    @pytest.mark.parametrize(
+        "S, sha",
+        [
+            (enumerate_full(3), "56c9b436811f2aae37e36853518e4bc47415a325dbe97a085b49ca42f8cd6769"),
+            (enumerate_partial(3), "8c7a74331835e57ebcb7a27444d7bc6ebf9b3b7dc9e722f2b9d1d605a410699f"),
+            (enumerate_full(4), "719f8940664c9c0d53814242dc7784264bc31f62aca8289b8a3f9039724de18e"),
+        ],
+    )
+    def test_dot_bytes_frozen(self, S, sha):
+        assert hashlib.sha256(graph_to_dot(build(S)).encode()).hexdigest() == sha
+
+    def test_dot_reads_the_rows_a_fixed_number_of_times(self, monkeypatch):
+        # reading g.adj per vertex made the export quadratic in the vertex count
+        calls = []
+        read_all = RowReader.read_all
+        monkeypatch.setattr(RowReader, "read_all", lambda self: calls.append(1) or read_all(self))
+        counts = []
+        for n in (3, 4):
+            calls.clear()
+            graph_to_dot(build(enumerate_full(n)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
 
 T3_ROWS = commuting_rows(enumerate_full(3).elements)
 

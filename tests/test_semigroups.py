@@ -4,6 +4,7 @@ import random
 import pytest
 
 from commsemi.extremal import abelian_witness, e_ix, null_max, omega_pn, xi_alpha
+from commsemi.graphs import build
 from commsemi.semigroups import (
     MAX_FULL_DEGREE,
     MAX_PARTIAL_DEGREE,
@@ -94,6 +95,39 @@ class TestSemigroupSet:
         for mixed in ([Transformation([0, 1]), 1], [1, PartialTransformation([0, None])]):
             with pytest.raises(TypeError, match="unsupported element type int"):
                 SemigroupSet(mixed)
+
+    def test_takes_no_flags(self):
+        elements = enumerate_full(2).elements
+        for flag in ("closed", "commutative"):
+            with pytest.raises(TypeError):
+                SemigroupSet(elements, **{flag: True})
+
+    def test_flags_are_computed_not_taken(self):
+        # T2 from its elements: the center is {id}, and build accepts it
+        S = SemigroupSet(enumerate_full(2).elements)
+        assert not S.is_commutative()
+        assert center(S) == (Transformation.identity(2),)
+        assert build(S).vertex_count == 3
+        # {[1 0 0], [0 0 1]} is not closed: [1 0 0]·[0 0 1] = [0 0 0]
+        T = SemigroupSet([Transformation([1, 0, 0]), Transformation([0, 0, 1])])
+        with pytest.raises(ValueError, match="product-closed"):
+            build(T)
+
+    def test_rejects_subclass_elements(self):
+        class Full(Transformation):
+            __slots__ = ()
+
+        class Partial(PartialTransformation):
+            __slots__ = ()
+
+        for a in (Full([1, 0]), Partial([1, None])):
+            name = type(a).__name__
+            with pytest.raises(TypeError, match=f"unsupported element type {name}"):
+                SemigroupSet([a])
+            with pytest.raises(TypeError, match=f"unsupported element type {name}"):
+                closure([a])
+        with pytest.raises(TypeError, match="unsupported element type Full"):
+            SemigroupSet([Transformation([0, 1]), Full([1, 0])])
 
     def test_flags_cached(self):
         S = example_semigroup()
@@ -573,6 +607,16 @@ class TestRestrictSet:
     def test_requires_invariant_subset(self):
         with pytest.raises(ValueError):
             restrict_set(example_semigroup(), [0, 1])
+
+    def test_carries_only_true_flags(self):
+        S = closure([Transformation([1, 2, 0, 0])])
+        assert restrict_set(S, [0, 1, 2])._commutative is None
+        assert S.is_commutative()
+        G = restrict_set(S, [0, 1, 2])
+        assert (G._closed, G._commutative) == (True, True)
+        U = SemigroupSet([Transformation([1, 2, 0, 0])])
+        assert not U.is_closed()
+        assert restrict_set(U, [0, 1, 2])._closed is None
 
 
 def test_image_union_example():

@@ -612,9 +612,7 @@ class TestCliTreePipeline:
 
     def test_nullify_with_m_override(self, capsys, example_file, tmp_path):
         m_path = tmp_path / "m.json"
-        write_semigroup_file(
-            SemigroupSet(null_max(4).elements[:3], commutative=True), str(m_path)
-        )
+        write_semigroup_file(SemigroupSet(null_max(4).elements[:3]), str(m_path))
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         assert cli.run(["nullify", example_file, "--out", str(first)]) == 0

@@ -6,6 +6,8 @@ import pytest
 from commsemi.transform import (
     PartialTransformation,
     Transformation,
+    _label,
+    _Map,
     compose,
     compose_partial,
     embed_partial,
@@ -118,6 +120,56 @@ def test_rank():
     assert Transformation([1, 0, 2]).rank() == 3
     assert PartialTransformation([None, None, 1]).rank() == 1
     assert PartialTransformation.empty(5).rank() == 0
+
+
+def reference_full(a):
+    """repr, image, rank and the values of a full map, computed on its own terms."""
+    return (
+        f"Transformation({list(a.img)})",
+        tuple(sorted(set(a.img))),
+        len(set(a.img)),
+        [a.img[x] for x in range(a.degree)],
+    )
+
+
+def reference_partial(a):
+    """The same for a partial map: ⊥ = n read as undefined (None)."""
+    n = a.degree
+    shown = [None if v == n else v for v in a.img]
+    image = tuple(sorted({v for v in a.img if v != n}))
+    return f"PartialTransformation({shown})", image, len(image), shown
+
+
+def test_shared_methods_match_each_kind_reference():
+    cases = [(a, reference_full) for a in [*all_full(3), Transformation.identity(4)]]
+    partial = [*all_partial(3), PartialTransformation.identity(4), PartialTransformation.empty(2)]
+    cases += [(a, reference_partial) for a in partial]
+    for a, reference in cases:
+        got = (repr(a), a.image(), a.rank(), [a(x) for x in range(a.degree)])
+        assert got == reference(a)
+    assert type(Transformation.identity(4)) is Transformation
+    assert type(PartialTransformation.identity(4)) is PartialTransformation
+
+
+def test_shared_methods_are_defined_once():
+    for name in ("identity", "__call__", "image", "rank", "__repr__"):
+        assert name in vars(_Map)
+        assert name not in vars(Transformation)
+        assert name not in vars(PartialTransformation)
+
+
+def test_label_matches_the_cli_and_dot_formats():
+    def cli_format(a):
+        n = a.degree
+        return " ".join("-" if v == n else str(v + 1) for v in a.img)
+
+    def dot_format(a):
+        vals = [("-" if v == a.degree else str(v + 1)) for v in a.img]
+        return "[" + " ".join(vals) + "]"
+
+    for a in [*all_full(3), *all_partial(3), PartialTransformation.empty(2)]:
+        assert _label(a.img) == cli_format(a)
+        assert f"[{_label(a.img)}]" == dot_format(a)
 
 
 def test_validation_errors():

@@ -245,8 +245,7 @@ class TestNullifyExample:
                 Transformation([0, 0, 0, 0]),
                 Transformation([0, 0, 0, 1]),
                 Transformation([0, 0, 1, 0]),
-            ],
-            commutative=True,
+            ]
         )
         assert nullify(S, m_override=M).elements == nullify(S).elements
 
@@ -257,8 +256,7 @@ class TestNullifyExample:
                 Transformation([0, 0, 0, 0]),
                 Transformation([0, 0, 1, 0]),
                 Transformation([0, 0, 1, 1]),
-            ],
-            commutative=True,
+            ]
         )
         N = nullify(S, m_override=M)
         assert len(N) == 7

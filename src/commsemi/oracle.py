@@ -10,9 +10,9 @@ maximum-clique problem on a small induced graph:
   which are generated directly (each fixes the points of its image), not
   filtered out of the whole semigroup;
 * unique idempotent: for each idempotent f, the commuting graph induced on
-  the elements whose power sequence stabilises at f (a maximum clique there
-  automatically contains f and is product-closed, since powers and products
-  of commuting elements stay in the class);
+  the elements whose power sequence stabilises at f, which are made from f
+  (a maximum clique there automatically contains f and is product-closed,
+  since powers and products of commuting elements stay in the class);
 * null: for each idempotent z, vertices with square z that absorb z (all
   in z's ω-class), and adjacency "commuting pairs whose product is z";
 * abelian subgroup: the commuting graph of the symmetric group.
@@ -287,32 +287,30 @@ def _orbit_key(f: bytes) -> tuple[int, ...]:
     return tuple(sorted(f.count(y) for y in set(f) if y != n))
 
 
-def _omega_groups(images) -> list[list[tuple[bytes, list[bytes]]]]:
-    """The maps grouped by ω-power f, and those groups by f's conjugacy class.
+def _omega_class(f: bytes) -> list[bytes]:
+    """The maps a with ω(a) = f, for an idempotent f, on image bytes.
 
-    Each conjugacy class met (:func:`_orbit_key`) is a list of ``(f, the
-    maps with ω-power f)``; all on image bytes, in the order given.
-    """
-    classes: dict[bytes, list[bytes]] = {}
-    for a in images:
-        classes.setdefault(_omega_image(a), []).append(a)
-    orbits: dict[tuple, list] = {}
-    for f, members in classes.items():
-        orbits.setdefault(_orbit_key(f), []).append((f, members))
-    return list(orbits.values())
+    Such an a commutes with its power f and permutes im f, so it sends each y ∈ im f to
+    π(y) for a permutation π of im f, each other point of f⁻¹(y) into f⁻¹(π(y)), and each
+    point of f⁻¹(⊥) into f⁻¹(⊥) ∪ {⊥}.  Each map of that shape is kept if ω(a) = f."""
+    n = len(f)
+    image = sorted(set(f) - {n})
+    fibres = {y: [x for x in range(n) if f[x] == y] + [n] * (y == n) for y in [*image, n]}
+    members = []
+    for pi in itertools.permutations(image):
+        to = dict(zip([*image, n], [*pi, n]))
+        slots = [(to[x],) if f[x] == x else fibres[to[f[x]]] for x in range(n)]
+        members += [a for a in map(bytes, itertools.product(*slots)) if _omega_image(a) == f]
+    return members
 
 
-def _omega_orbits(S: SemigroupSet) -> list:
-    """One ω-class of S per conjugacy class of idempotents: (f, its members).
-
-    The first ω-class of each conjugacy class that S reaches, with its
-    members in S's order.  Only those become element objects.
-    """
-    cls = S.element_class
-    return [
-        (_raw(cls, f), [_raw(cls, a) for a in members])
-        for (f, members), *_ in _omega_groups(S.images)
-    ]
+def _omega_classes(n: int, kind: str):
+    """(f, f's ω-class) for the first idempotent f of each conjugacy class (:func:`_orbit_key`)."""
+    S, reps = _idempotent_maps(n, kind), {}
+    for f in S.images:
+        reps.setdefault(_orbit_key(f), f)
+    for f in reps.values():
+        yield _raw(S.element_class, f), [_raw(S.element_class, a) for a in _omega_class(f)]
 
 
 def _class_pools(S: SemigroupSet):
@@ -330,11 +328,16 @@ def _class_pools(S: SemigroupSet):
     every map left: those of central ω-power.
     """
     cls = S.element_class
-    groups = _omega_groups(S.images)
-    order = [a for group in groups for _, members in group for a in members]
+    classes: dict[bytes, list[bytes]] = {}
+    for a in S.images:
+        classes.setdefault(_omega_image(a), []).append(a)
+    groups: dict[tuple, list] = {}
+    for f, members in classes.items():
+        groups.setdefault(_orbit_key(f), []).append((f, members))
+    order = [a for group in groups.values() for _, members in group for a in members]
     reader = RowReader(order, S.degree)
     pivots, start = [], 0
-    for group in groups:
+    for group in groups.values():
         f, members = group[0]
         end = start + sum(len(m) for _, m in group)
         i = start + members.index(f)
@@ -382,16 +385,16 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
 def max_unique_idempotent(n: int, kind: str) -> OracleResult:
     """Largest commutative subsemigroup with exactly one idempotent.
 
-    Grouping by the stabilising power splits the problem by idempotent: a
-    commuting set whose members all have ω-power f is exactly a clique in
-    the induced graph of f's class, and maximum cliques there are closed
-    and contain f.  Conjugation keeps ω-powers and commuting, so one class
-    per conjugacy class of idempotents is searched (at T5, 7 of 196), and
-    the maximizers of the others are the conjugates of those found.
+    The stabilising power splits the problem by idempotent: a commuting set
+    whose members all have ω-power f is exactly a clique in the induced
+    graph of f's class, and maximum cliques there are closed and contain f.
+    Conjugation keeps ω-powers and commuting, so one class per conjugacy
+    class of idempotents is made and searched (at T5, 7 of 196), and the
+    maximizers of the others are the conjugates of those found.
     """
-    S = _enumerate("unique-idem-max", n, kind)
+    _check_degree("unique-idem-max", n, kind)
     return _search(
-        [(f, items, commuting_rows(items)) for f, items in _omega_orbits(S)],
+        [(f, items, commuting_rows(items)) for f, items in _omega_classes(n, kind)],
         f"max_unique_idempotent({n},{kind})",
         _tag_unique_idem,
         lambda T, f: idempotents(T) == [f],
@@ -405,17 +408,17 @@ def max_null(n: int, kind: str) -> OracleResult:
     of commuting pairs whose product is z, on the vertices with square z
     that absorb z.  Those vertices lie in z's ω-class (a² = z forces
     ω(a) = z), so both routes search the ω-classes, one per conjugacy class
-    of idempotents, as in :func:`max_unique_idempotent`; conjugation keeps
-    products, so each route's maximum is the same over those classes as
-    over all of them.  The nilpotent maximum (commuting cliques on
+    of idempotents, made as in :func:`max_unique_idempotent`; conjugation
+    keeps products, so each route's maximum is the same over those classes
+    as over all of them.  The nilpotent maximum (commuting cliques on
     {α : ω-power = z, αz = zα = z}) must agree with the null maximum at
     these degrees; a disagreement aborts.
     """
-    S = _enumerate("null-max", n, kind)
+    _check_degree("null-max", n, kind)
     pools = []
     best_nilpotent = 0
     fill = _FILL[n]
-    for z, cls in _omega_orbits(S):
+    for z, cls in _omega_classes(n, kind):
         # az = z = za, then a² = z, then ab = z, on image bytes as in semigroups
         zero, tz = z.img, z.img + fill
         nil = [a for a in cls if a.img.translate(tz) == zero == zero.translate(a.img + fill)]
@@ -626,12 +629,12 @@ CLAIMS: dict[str, Claim] = {
     "unique-idem-max": Claim(
         _published("unique-idem-max", _unique_idem, (1, 20), (1, 19)),
         lambda n, kind: _witnessed(max_unique_idempotent(n, kind)),
-        {"full": (1, 7), "partial": (1, 5)},
+        {"full": (1, 7), "partial": (1, 6)},
     ),
     "null-max": Claim(
         _published("null-max", _xi, (1, 20), (1, 19)),
         lambda n, kind: _witnessed(max_null(n, kind)),
-        {"full": (1, 7), "partial": (1, 5)},
+        {"full": (1, 7), "partial": (1, 6)},
     ),
     "abelian-max": Claim(
         _published("abelian-max", lambda n, full: ABELIAN_ORDERS[n], full=(2, 12)),

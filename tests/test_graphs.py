@@ -495,6 +495,46 @@ class TestDegeneracyOrder:
         assert (r.size, r.witness) == (7, (0, 3, 8, 11, 16, 19, 24))
 
 
+def peeled_bits(bits):
+    """The set-bit indices, ascending, by peeling the lowest bit at a time."""
+    out = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+class TestBitsToList:
+    """The digit scan lists what peeling one low bit at a time lists."""
+
+    def test_zero_and_single_bits(self):
+        assert _bits_to_list(0) == peeled_bits(0) == []
+        for i in (0, 1, 7, 63, 64, 1000, (1 << 20) + 3):
+            assert _bits_to_list(1 << i) == peeled_bits(1 << i) == [i]
+
+    def test_random_ints(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            bits = rng.getrandbits(rng.randint(1, 3000))
+            if rng.random() < 0.5:
+                bits &= rng.getrandbits(bits.bit_length() + 1)  # sparser
+            assert _bits_to_list(bits) == peeled_bits(bits)
+
+    def test_wider_than_two_to_the_twenty(self):
+        rng = random.Random(31)
+        width = (1 << 20) + 77
+        sparse = rng.sample(range(width), 300)
+        bits = sum(1 << i for i in sparse) | 1 << (width - 1)
+        assert _bits_to_list(bits) == peeled_bits(bits) == sorted({*sparse, width - 1})
+        # dense: one peel per set bit would copy the whole int each time
+        dense = bytes(rng.getrandbits(8) for _ in range(width // 8))
+        bits = int.from_bytes(dense, "little")
+        assert _bits_to_list(bits) == [
+            8 * k + j for k, byte in enumerate(dense) for j in range(8) if byte >> j & 1
+        ]
+
+
 class TestColorBits:
     """The class-at-a-time coloring is the greedy coloring of an ascending list."""
 

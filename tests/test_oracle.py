@@ -16,7 +16,8 @@ from commsemi.oracle import (
     _checked_set,
     _class_pools,
     _conjugates,
-    _omega_orbits,
+    _omega_class,
+    _omega_classes,
     _orbit_key,
     _search,
     _tag_commutative,
@@ -190,21 +191,37 @@ def partitions(m):
     )
 
 
-ORBIT_DEGREES = [(enumerate_full, 4), (enumerate_partial, 3)]
+ORBIT_DEGREES = [(enumerate_full, "full", 4), (enumerate_partial, "partial", 3)]
 
 
 class TestOrbits:
     """The premise of the orbit search: conjugation keeps every pool's clique number."""
 
-    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
-    def test_first_class_of_each_conjugacy_class(self, enum, n):
-        S = enum(n)
-        expected = []
-        for f, members in omega_classes(S).items():
-            orbit = {conjugate(f, s) for s in itertools.permutations(range(n))}
-            if not any(g in orbit for g, _ in expected):
-                expected.append((f, members))
-        assert _omega_orbits(S) == expected  # keys, key order, member order
+    @pytest.mark.parametrize(
+        "enum, kind, n",
+        [*ORBIT_DEGREES, (enumerate_full, "full", 5), (enumerate_partial, "partial", 4)],
+        ids=["T4", "P3", "T5", "P4"],
+    )
+    def test_made_class_is_the_enumerated_class(self, enum, kind, n):
+        # every idempotent's class, made from it, against the maps of that ω-power
+        classes = omega_classes(enum(n))
+        assert len(classes) == len(_idempotent_maps(n, kind))
+        for f, members in classes.items():
+            made = _omega_class(f.img)
+            assert len(made) == len(set(made))
+            assert set(made) == {a.img for a in members}
+
+    @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_one_class_per_conjugacy_class(self, enum, kind, n):
+        # keyed by the first idempotent of each class that the generator makes
+        firsts = {}
+        for e in _idempotent_maps(n, kind):
+            firsts.setdefault(_orbit_key(e.img), e)
+        got = list(_omega_classes(n, kind))
+        assert [f for f, _ in got] == list(firsts.values())
+        assert all([a.img for a in members] == _omega_class(f.img) for f, members in got)
+        cls = Transformation if kind == "full" else PartialTransformation
+        assert all(type(a) is cls for f, members in got for a in [f, *members])
 
     def test_orbit_keys_count_the_conjugacy_classes(self):
         # p(n) classes of idempotents in T_n; in P_n, the points sent to ⊥ are
@@ -217,15 +234,15 @@ class TestOrbits:
             assert len(keys) == sum(map(partitions, range(n + 1)))
         assert [partitions(n) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
 
-    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
-    def test_orbit_keys_are_conjugacy(self, enum, n):
+    @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_orbit_keys_are_conjugacy(self, enum, kind, n):
         es = idempotents(enum(n))
         for f in es:
             orbit = {conjugate(f, s) for s in itertools.permutations(range(n))}
             assert {g for g in es if _orbit_key(g.img) == _orbit_key(f.img)} == orbit
 
-    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
-    def test_conjugate_pools_share_clique_numbers(self, enum, n):
+    @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_conjugate_pools_share_clique_numbers(self, enum, kind, n):
         def omega(pool):
             return max_clique_bits(commuting_rows(pool))[0]
 
@@ -238,7 +255,7 @@ class TestOrbits:
             return max_clique_bits(adj)[0]
 
         S = enum(n)
-        reps = {_orbit_key(f.img): (f, pool) for f, pool in _omega_orbits(S)}
+        reps = {_orbit_key(f.img): (f, pool) for f, pool in _omega_classes(n, kind)}
         classes = omega_classes(S)
         assert len(classes) > len(reps)
         for f, pool in classes.items():
@@ -246,12 +263,12 @@ class TestOrbits:
             assert omega(pool) == omega(rep)
             assert null_omega(f, pool) == null_omega(g, rep)
 
-    @pytest.mark.parametrize("enum, n", ORBIT_DEGREES, ids=["T4", "P3"])
-    def test_conjugates_walk_lists_what_every_permutation_lists(self, enum, n):
+    @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
+    def test_conjugates_walk_lists_what_every_permutation_lists(self, enum, kind, n):
         # one σ per conjugate, walked by (0 1) and (0 1 … n−1), against all n! of them
         S = enum(n)
         pools = list(_class_pools(S))
-        pools += [(f, items, commuting_rows(items)) for f, items in _omega_orbits(S)]
+        pools += [(f, items, commuting_rows(items)) for f, items in _omega_classes(n, kind)]
         for f, items, adj in pools:
             cliques = [[items[i] for i in K] for K in max_clique_bits(adj, ties=True)[1]]
             walked = [(g.img, frozenset(a.img for a in K)) for g, K in _conjugates(f, cliques)]
@@ -431,7 +448,10 @@ class TestMaxNull:
 # T5, T6, P4 and P5, recorded from a search of every ω-class or, for comm-max
 # and idem-max, of the whole pool; comm-max at P5 and idem-max at its top
 # degrees T8 and P7, recorded from the search of one pool per conjugacy class
-# and equal to E(I_5), the eight Γ(8, x) and E(I_7) as built by `extremal`:
+# and equal to E(I_5), the eight Γ(8, x) and E(I_7) as built by `extremal`;
+# the unique-idempotent and null searches at P6, the fifteen Ω(B) with
+# |B| = 2, recorded from the classes made from their idempotents and equal to
+# the route that enumerated P_6 and grouped it by ω-power:
 # (search, n, kind, size, space-joined tags, SHA-256 of the newline-joined
 # semigroup digests of the maximizers, in the order returned).
 PINNED_MAXIMIZERS = [
@@ -565,6 +585,14 @@ PINNED_MAXIMIZERS = [
          "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
      ),
      "51a5ff0409f94255b832407158ad584914c5631083d3b44c01d980704669fcee"),
+    (max_unique_idempotent, 6, "partial", 81,
+     (
+         "NULL:OMEGA(1,5) NULL:OMEGA(1,4) NULL:OMEGA(1,3) NULL:OMEGA(1,2) "
+         "NULL:OMEGA(2,5) NULL:OMEGA(2,4) NULL:OMEGA(2,3) NULL:OMEGA(3,5) "
+         "NULL:OMEGA(3,4) NULL:OMEGA(4,5) NULL:OMEGA(0,5) NULL:OMEGA(0,4) "
+         "NULL:OMEGA(0,3) NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "2998eb80c414e4773c751596e93f3f57af76f03c8e8ebe38a18f4e897dda8938"),
     (max_null, 1, "full", 1,
      "ID",
      "8d3a229eb60a4613bac82504ad3198495370887b768e955f0ddf8777440741fc"),
@@ -637,6 +665,14 @@ PINNED_MAXIMIZERS = [
          "NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
      ),
      "51a5ff0409f94255b832407158ad584914c5631083d3b44c01d980704669fcee"),
+    (max_null, 6, "partial", 81,
+     (
+         "NULL:OMEGA(1,5) NULL:OMEGA(1,4) NULL:OMEGA(1,3) NULL:OMEGA(1,2) "
+         "NULL:OMEGA(2,5) NULL:OMEGA(2,4) NULL:OMEGA(2,3) NULL:OMEGA(3,5) "
+         "NULL:OMEGA(3,4) NULL:OMEGA(4,5) NULL:OMEGA(0,5) NULL:OMEGA(0,4) "
+         "NULL:OMEGA(0,3) NULL:OMEGA(0,2) NULL:OMEGA(0,1)"
+     ),
+     "2998eb80c414e4773c751596e93f3f57af76f03c8e8ebe38a18f4e897dda8938"),
 ]
 
 
@@ -647,6 +683,25 @@ def test_pinned_maximizers(search, n, kind, size, tags, digest):
     assert " ".join(r.tags) == tags
     joined = "\n".join(semigroup_digest(T) for T in r.maximizers)
     assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "search, n, kind, size, tags, digest",
+    [
+        case
+        for case in PINNED_MAXIMIZERS
+        if case[0] in (max_null, max_unique_idempotent)
+        and case[1:3] in ((5, "full"), (4, "partial"))
+    ],
+)
+def test_omega_searches_enumerate_nothing(monkeypatch, search, n, kind, size, tags, digest):
+    # each ω-class is made from its idempotent, so T_n and P_n are never listed
+    def refuse(n):
+        raise AssertionError(f"enumerated the monoid of degree {n}")
+
+    monkeypatch.setattr(oracle, "enumerate_full", refuse)
+    monkeypatch.setattr(oracle, "enumerate_partial", refuse)
+    test_pinned_maximizers(search, n, kind, size, tags, digest)
 
 
 def brute_tag_commutative(T):
@@ -847,11 +902,11 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_unique_idempotent(8, "full")
         with pytest.raises(ValueError):
-            max_unique_idempotent(6, "partial")
+            max_unique_idempotent(7, "partial")
         with pytest.raises(ValueError):
             max_null(8, "full")
         with pytest.raises(ValueError):
-            max_null(6, "partial")
+            max_null(7, "partial")
         with pytest.raises(ValueError, match="capped"):
             CLAIMS["girth"].compute(7, "full")
         with pytest.raises(ValueError, match="capped"):

@@ -778,8 +778,8 @@ class TestCliVerify:
         assert runs[0][1] == 9 and runs[0][2]
 
     def test_cap_exceeded(self, capsys):
-        # published at partial 6, computed to partial 5
-        assert cli.run(["verify", "--claim", "null-max", "--n", "6", "--kind", "partial"]) == 2
+        # published at partial 7, computed to partial 6
+        assert cli.run(["verify", "--claim", "null-max", "--n", "7", "--kind", "partial"]) == 2
         assert "capped" in capsys.readouterr().err
 
     def test_unknown_claim(self, capsys):
@@ -798,8 +798,8 @@ class TestCliVerify:
 VERIFY_RANGES = {
     "comm-max": {"full": (2, 6), "partial": (2, 5)},
     "idem-max": {"full": (1, 8), "partial": (1, 7)},
-    "unique-idem-max": {"full": (1, 7), "partial": (1, 5)},
-    "null-max": {"full": (1, 7), "partial": (1, 5)},
+    "unique-idem-max": {"full": (1, 7), "partial": (1, 6)},
+    "null-max": {"full": (1, 7), "partial": (1, 6)},
     "abelian-max": {"full": (2, 7), "partial": None},
     "pclique": {"full": (2, 6), "partial": (2, 5)},
     "girth": {"full": (2, 6), "partial": (2, 5)},
@@ -813,8 +813,10 @@ class TestVerifyRange:
 
     Enumeration, and the idempotent generator of idem-max, are replaced by
     the identity and the constants to 0 and 1 of the requested degree, so
-    every search and graph statistic runs on a tiny non-commutative monoid:
-    accepted degrees exit 0 or 1, and every other degree must exit 2.
+    every search and graph statistic runs on a tiny non-commutative monoid,
+    and the ω-classes of unique-idem-max and null-max by those three maps,
+    each alone in its class: accepted degrees exit 0 or 1, and every other
+    degree must exit 2.
     """
 
     @staticmethod
@@ -828,13 +830,15 @@ class TestVerifyRange:
 
     @pytest.fixture
     def stubbed(self, monkeypatch):
+        def tiny(n, kind):
+            return self._tiny(Transformation if kind == "full" else PartialTransformation)(n)
+
         stubs = {
             "enumerate_full": self._tiny(Transformation),
             "enumerate_partial": self._tiny(PartialTransformation),
             "enumerate_sym": lambda n: SemigroupSet([Transformation.identity(n)]),
-            "_idempotent_maps": lambda n, kind: self._tiny(
-                Transformation if kind == "full" else PartialTransformation
-            )(n),
+            "_idempotent_maps": tiny,
+            "_omega_classes": lambda n, kind: [(e, [e]) for e in tiny(n, kind)],
         }
         for modname, mod in list(sys.modules.items()):
             if modname == "commsemi" or modname.startswith("commsemi."):

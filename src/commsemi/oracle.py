@@ -7,7 +7,7 @@ maximum-clique problem on a small induced graph:
   off, since a central element is adjacent to every other vertex and so
   lies in every maximum clique;
 * commutative of idempotents: the same graph induced on the idempotents,
-  which are generated directly (each fixes the points of its image), not
+  laid out as the conjugates of one idempotent per conjugacy class, not
   filtered out of the whole semigroup;
 * unique idempotent: for each idempotent f, the commuting graph induced on
   the elements whose power sequence stabilises at f, which are made from f
@@ -61,7 +61,6 @@ from .semigroups import (
     _commute_with_all,
     _commutes_with,
     _from_images,
-    _idempotent_maps,
     _images_and_tables,
     _sole_idempotent,
     classify_small_abelian_group,
@@ -72,8 +71,9 @@ from .semigroups import (
     is_group,
     is_null,
 )
+from .transform import _FILL, PartialTransformation, Transformation, _omega_image, _raw, product
 # omega_power is unused here, but perfbench/test_harness.py pins this binding.
-from .transform import _FILL, Transformation, _omega_image, _raw, omega_power, product
+from .transform import omega_power
 
 # ξ/α values as published, keyed by n.  These constants are the *expected*
 # side of every verification; the computed side always comes from live code.
@@ -231,43 +231,46 @@ def _search(pools, context: str, tag, check) -> OracleResult:
         size, cliques, _ = max_clique_bits(adj, best, ties=True)
         if size > best:
             best, found = size, []
-        found.append((key, [[items[i] for i in K] for K in cliques]))
+        found.append((key, [[items[i].img for i in K] for K in cliques]))
     results, seen = [], set()
     for key, cliques in found:
-        for key, K in _conjugates(key, cliques):
-            members = frozenset(a.img for a in K)
+        cls = type(key)
+        for g, K in _conjugates(key.img, cliques):
+            members = frozenset(K)
             if members in seen:
                 continue
             seen.add(members)
-            T = _checked_set(K, context=f"{context}, pool {key!r}")
-            if not check(T, key):
-                raise RuntimeError(f"{context}: pool {key!r} produced {T!r}, which fails its check")
+            g = _raw(cls, g)
+            T = _checked_set([_raw(cls, a) for a in K], context=f"{context}, pool {g!r}")
+            if not check(T, g):
+                raise RuntimeError(f"{context}: pool {g!r} produced {T!r}, which fails its check")
             results.append((T, tag(T)))
     results.sort(key=lambda st: st[0].images)
     return OracleResult(best, tuple(T for T, _ in results), tuple(t for _, t in results))
 
 
-def _conjugates(f, cliques):
-    """(σ⁻¹fσ, σ⁻¹Kσ) for each clique K of f's pool and one σ ∈ Sym_n per conjugate of f.
+def _conjugates(f: bytes, sets):
+    """(σ⁻¹fσ, σ⁻¹Kσ) for each K in ``sets`` and one σ ∈ Sym_n per conjugate of f, on image bytes.
 
-    On image bytes, x·σ⁻¹aσ = σ(a(σ⁻¹(x))): σ⁻¹'s image read through a's
-    table, then σ's; σ fixes ⊥, so partial maps conjugate alike.  The σ
-    that fix f permute the maximum cliques of f's pool among themselves,
-    and those are all given, so one σ per conjugate lists every maximizer
-    of the conjugate pools.  The conjugates are walked from f by the
-    generators (0 1) and (0 1 … n−1) of Sym_n, one step per conjugate: a
-    step takes σ to γ∘σ, which takes f to γ∘g∘γ⁻¹ for the g that σ gave.
+    x·σ⁻¹aσ = σ(a(σ⁻¹(x))): σ⁻¹'s image read through a's table, then σ's;
+    σ fixes ⊥, so partial maps conjugate alike.  The first σ is the
+    identity.  The σ that fix f permute the maximum cliques of f's pool
+    among themselves, and those are all given, so one σ per conjugate lists
+    every maximizer of the conjugate pools.  The conjugates are walked from
+    f by the generators (0 1) and (0 1 … n−1) of Sym_n, one step per
+    conjugate: a step takes σ to γ∘σ, which takes f to γ∘g∘γ⁻¹ for the g
+    that σ gave.
     """
-    cls, n = type(f), len(f.img)
+    n = len(f)
     fill, identity = _FILL[n], bytes(range(n))
-    tables = [[a.img + fill for a in K] for K in cliques]
+    tables = [[a + fill for a in K] for K in sets]
     swap, cycle = identity[1::-1] + identity[2:], identity[1:] + identity[:1]  # (0 1), (0 1 … n−1)
     steps = [(gen + fill, bytes.maketrans(gen, identity)[:n]) for gen in (swap, cycle)]
-    walk, seen = [(identity, f.img)], {f.img}
+    walk, seen = [(identity, f)], {f}
     for s, g in walk:  # walk grows while it is read
         inverse, table = bytes.maketrans(s, identity)[:n], s + fill
         for K in tables:
-            yield _raw(cls, g), [_raw(cls, inverse.translate(t).translate(table)) for t in K]
+            yield g, [inverse.translate(t).translate(table) for t in K]
         for step, step_inverse in steps:
             h = step_inverse.translate(g + fill).translate(step)
             if h not in seen:
@@ -275,16 +278,27 @@ def _conjugates(f, cliques):
                 walk.append((s.translate(step), h))
 
 
-def _orbit_key(f: bytes) -> tuple[int, ...]:
-    """The conjugacy class in Sym_n of the idempotent with image bytes f.
+def _class_reps(n: int, kind: str) -> list[bytes]:
+    """One idempotent per conjugacy class of idempotents of T_n or P_n, on image bytes.
 
-    An idempotent fixes its image points and sends each other point into
-    one of them (or to ⊥), and σ⁻¹fσ has the fibres of f moved by σ.  So two
-    idempotents are conjugate iff they have the same sorted fibre sizes over
-    their image points; the points left over are those sent to ⊥.
+    An idempotent fixes the points of its image and sends every other point
+    into it (or to ⊥), and σ⁻¹eσ has the fibres of e moved by σ.  So two
+    idempotents are conjugate iff their fibres have the same sizes: one
+    class per partition of the m points not sent to ⊥, m = n in T_n and any
+    m ≤ n in P_n (p(n) and Σ_{m≤n} p(m) classes).  Each representative's
+    fibres are runs of consecutive points, largest first, each sent to its
+    first point.  They are made depth first on a stack, not by a recursive
+    closure, which would leave a reference cycle per call.
     """
-    n = len(f)
-    return tuple(sorted(f.count(y) for y in set(f) if y != n))
+    reps = []
+    # (image of the first points, points left, largest fibre allowed)
+    stack = [(b"", m, m) for m in reversed(range(0 if kind == "partial" else n, n + 1))]
+    while stack:
+        img, left, top = stack.pop()
+        if not left:
+            reps.append(img + bytes([n] * (n - len(img))))
+        stack += [(img + bytes([len(img)] * k), left - k, k) for k in range(1, min(left, top) + 1)]
+    return reps
 
 
 def _omega_class(f: bytes) -> list[bytes]:
@@ -305,51 +319,43 @@ def _omega_class(f: bytes) -> list[bytes]:
 
 
 def _omega_classes(n: int, kind: str):
-    """(f, f's ω-class) for the first idempotent f of each conjugacy class (:func:`_orbit_key`)."""
-    S, reps = _idempotent_maps(n, kind), {}
-    for f in S.images:
-        reps.setdefault(_orbit_key(f), f)
-    for f in reps.values():
-        yield _raw(S.element_class, f), [_raw(S.element_class, a) for a in _omega_class(f)]
+    """(f, f's ω-class) for each representative f of :func:`_class_reps`."""
+    cls = Transformation if kind == "full" else PartialTransformation
+    for f in _class_reps(n, kind):
+        yield _raw(cls, f), [_raw(cls, a) for a in _omega_class(f)]
 
 
-def _class_pools(S: SemigroupSet):
+def _class_pools(n: int, kind: str, block):
     """The pools ``(key, items, adj)`` of a commutative search, one per class.
 
-    S must be closed under conjugation and hold the ω-power f of each map a
-    (T_n, P_n and their idempotents do).  f is a power of a, so it commutes
-    with all that a commutes with: a maximum clique holding a holds f, and
-    lies in N[f], or conjugated in N[e] for the representative e of f's
-    conjugacy class.  Those pools, each one row of a :class:`RowReader` on
-    all of S, come in ascending order of |N[e]|, less the maps whose
-    ω-power is in a class searched before: a clique holding one lies in
-    that class's pool.  N[e] is all of S for a central e, so those come
-    last, and the first is keyed by e alone (its only conjugate) and holds
-    every map left: those of central ω-power.
+    ``block(e)`` lists the maps of ω-power e on image bytes: the ω-class
+    (:func:`_omega_class`) to search T_n or P_n, [e] for their idempotents.
+    Conjugation keeps ω-powers, so σ⁻¹·block(e)·σ = block(σ⁻¹eσ), and each
+    representative's block (:func:`_class_reps`), conjugated once per
+    conjugate (:func:`_conjugates`), lays out every map once, one span per
+    class.  A maximum clique holding a holds its ω-power f, which commutes
+    with all that a commutes with: it lies in N[f], or conjugated in N[e].
+    Those pools, each one row of a :class:`RowReader` on the layout, come in
+    ascending order of |N[e]|, less the spans of classes searched before: a
+    clique holding one of their maps lies in that class's pool.  N[e] is
+    everything for a central e, so those come last, and the first is keyed
+    by e alone (its only conjugate) and holds every map left.
     """
-    cls = S.element_class
-    classes: dict[bytes, list[bytes]] = {}
-    for a in S.images:
-        classes.setdefault(_omega_image(a), []).append(a)
-    groups: dict[tuple, list] = {}
-    for f, members in classes.items():
-        groups.setdefault(_orbit_key(f), []).append((f, members))
-    order = [a for group in groups.values() for _, members in group for a in members]
-    reader = RowReader(order, S.degree)
-    pivots, start = [], 0
-    for group in groups.values():
-        f, members = group[0]
-        end = start + sum(len(m) for _, m in group)
-        i = start + members.index(f)
-        row = reader[i] | 1 << i
-        pivots.append((row.bit_count(), f, row, (1 << end) - (1 << start)))
-        start = end
-    pivots.sort(key=operator.itemgetter(0))
+    cls = Transformation if kind == "full" else PartialTransformation
+    order, classes = [], []  # classes: (index of e in order, e, bits of its span)
+    for e in _class_reps(n, kind):
+        members, start = block(e), len(order)
+        for _, K in _conjugates(e, [members]):
+            order += K
+        classes.append((start + members.index(e), e, (1 << len(order)) - (1 << start)))
+    reader = RowReader(order, n)
+    pivots = [(reader[i] | 1 << i, e, span) for i, e, span in classes]
+    pivots.sort(key=lambda pivot: pivot[0].bit_count())
     searched = 0
-    for size, f, row, span in pivots:
+    for row, e, span in pivots:
         items = [_raw(cls, order[i]) for i in _bits_to_list(row & ~searched)]
-        yield _raw(cls, f), items, commuting_rows(items)
-        if size == len(order):
+        yield _raw(cls, e), items, commuting_rows(items)
+        if row.bit_count() == len(order):
             break
         searched |= span
 
@@ -360,9 +366,11 @@ def max_commutative(n: int, kind: str) -> OracleResult:
     A maximizer holds the ω-power of each member, so it lies in the
     centralizer of a non-central idempotent or holds only maps of central
     ω-power: the permutations in T_n, and the nilpotents too in P_n
-    (:func:`_class_pools`).
+    (:func:`_class_pools`).  T_n or P_n is laid out from the ω-class of one
+    idempotent per conjugacy class, never enumerated.
     """
-    pools = _class_pools(_enumerate("comm-max", n, kind))
+    _check_degree("comm-max", n, kind)
+    pools = _class_pools(n, kind, _omega_class)
     return _search(pools, f"max_commutative({n},{kind})", _tag_commutative, lambda T, _: True)
 
 
@@ -372,10 +380,11 @@ def max_commutative_idempotent(n: int, kind: str) -> OracleResult:
     Each idempotent is its own ω-power, so a maximizer lies in the
     centralizer of each member: one pool per conjugacy class of
     idempotents, and last {id} ({id, ∅} in P_n) (:func:`_class_pools`).
+    The idempotents are laid out as the conjugates of one per class.
     """
     _check_degree("idem-max", n, kind)
     return _search(
-        _class_pools(_idempotent_maps(n, kind)),
+        _class_pools(n, kind, lambda e: [e]),
         f"max_commutative_idempotent({n},{kind})",
         _tag_commutative,
         lambda T, _: len(idempotents(T)) == len(T),
@@ -592,14 +601,14 @@ def _compute_pclique(n: int, kind: str):
     """The clique number of the commuting graph, and its least maximum clique.
 
     The center commutes with everything, so the graph's maximum cliques are
-    the maximizers of :func:`max_commutative` minus the center; those hold
-    the ω-power of each member, and are found one conjugacy class of
-    idempotents at a time (:func:`_class_pools`).  The center lies in every
-    maximizer, so only the first one's maps are tested.  The witness is the
-    least in canonical order.
+    the maximizers of :func:`max_commutative` minus the center.  The center
+    lies in every maximizer, so only the first one's maps are tested, against
+    T_n or P_n enumerated after the search, so the two never peak together.
+    The witness is the least in canonical order.
     """
+    _check_degree("pclique", n, kind)
+    r = max_commutative(n, kind)
     S = _enumerate("pclique", n, kind)
-    r = _search(_class_pools(S), f"pclique({n},{kind})", _tag_commutative, lambda T, _: True)
     first = r.maximizers[0].images
     center = set(itertools.compress(first, _commute_with_all(first, S.images)))
     cliques = [[a for a in T.images if a not in center] for T in r.maximizers]

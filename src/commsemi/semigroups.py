@@ -425,27 +425,6 @@ def enumerate_partial(n: int) -> SemigroupSet:
     return _from_images(PartialTransformation, imgs, closed=True, commutative=(n <= 1))
 
 
-def _idempotent_maps(n: int, kind: str) -> SemigroupSet:
-    """The idempotents of T_n or P_n, generated without the rest of the semigroup.
-
-    A map e is idempotent iff it fixes each point of its image Y, so each
-    idempotent is one choice per point: x itself for x ∈ Y, and a value in
-    Y (or ⊥, in P_n) for x ∉ Y.  That walks every Y, nonempty in T_n, and
-    makes Σ_k C(n,k)·k^(n−k) maps in T_n and Σ_k C(n,k)·(k+1)^(n−k) in P_n.
-    """
-    partial = kind == "partial"
-    cls = PartialTransformation if partial else Transformation
-
-    def images():
-        for k in range(0 if partial else 1, n + 1):
-            for Y in itertools.combinations(range(n), k):
-                spare = Y + (n,) if partial else Y
-                slots = [(x,) if x in Y else spare for x in range(n)]
-                yield from map(bytes, itertools.product(*slots))
-
-    return _from_images(cls, images())
-
-
 def enumerate_sym(n: int) -> SemigroupSet:
     """The symmetric group on n points, as a closed SemigroupSet of full maps."""
     if n < 1:

@@ -9,16 +9,16 @@ import pytest
 
 from commsemi import oracle
 from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
-from commsemi.graphs import build, commuting_rows, max_clique, max_clique_bits
+from commsemi.graphs import RowReader, build, commuting_rows, max_clique, max_clique_bits
 from commsemi.oracle import (
     ABELIAN_ORDERS,
     CLAIMS,
     _checked_set,
     _class_pools,
+    _class_reps,
     _conjugates,
     _omega_class,
     _omega_classes,
-    _orbit_key,
     _search,
     _tag_commutative,
     _tag_null,
@@ -36,7 +36,6 @@ from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
     _idempotent_images,
-    _idempotent_maps,
     classify_small_abelian_group,
     closure,
     enumerate_full,
@@ -102,26 +101,6 @@ class TestMaxCommutativeIdempotent:
             assert r.size == 2**n
             assert r.tags == ("EIX",)
             assert r.maximizers[0].elements == e_ix(n).elements
-
-    @pytest.mark.parametrize(
-        "kind, enumerate_all, top",
-        [("full", enumerate_full, 6), ("partial", enumerate_partial, 5)],
-    )
-    def test_generated_pool_is_the_filtered_one(self, kind, enumerate_all, top):
-        # image for image and in order, so the search sees the same pool
-        for n in range(1, top + 1):
-            pool = _idempotent_maps(n, kind)
-            assert pool.images == tuple(_idempotent_images(enumerate_all(n).images, n))
-            assert pool.kind == kind
-
-    def test_generated_pool_sizes(self):
-        # Σ_k C(n,k)·k^(n−k) idempotents in T_n, and Σ_k C(n,k)·(k+1)^(n−k) in P_n
-        assert [len(_idempotent_maps(n, "full")) for n in range(1, 8)] == [
-            1, 3, 10, 41, 196, 1057, 6322
-        ]
-        assert [len(_idempotent_maps(n, "partial")) for n in range(1, 7)] == [
-            2, 6, 23, 104, 537, 3100
-        ]
 
 
 class TestMaxUniqueIdempotent:
@@ -191,6 +170,32 @@ def partitions(m):
     )
 
 
+def representative_of(n, kind):
+    """Each idempotent's :func:`_class_reps` representative, by conjugating each
+    representative by all n! permutations."""
+    cls = Transformation if kind == "full" else PartialTransformation
+    return {
+        conjugate(_raw(cls, r), s).img: r
+        for r in _class_reps(n, kind)
+        for s in itertools.permutations(range(n))
+    }
+
+
+def layout(monkeypatch, n, kind, block):
+    """The maps that :func:`_class_pools` lays out for its row reader, in order."""
+    orders = []
+
+    def spy(order, degree):
+        orders.append(list(order))
+        return RowReader(order, degree)
+
+    monkeypatch.setattr(oracle, "RowReader", spy)
+    next(_class_pools(n, kind, block))
+    monkeypatch.undo()
+    (order,) = orders
+    return order
+
+
 ORBIT_DEGREES = [(enumerate_full, "full", 4), (enumerate_partial, "partial", 3)]
 
 
@@ -204,8 +209,9 @@ class TestOrbits:
     )
     def test_made_class_is_the_enumerated_class(self, enum, kind, n):
         # every idempotent's class, made from it, against the maps of that ω-power
-        classes = omega_classes(enum(n))
-        assert len(classes) == len(_idempotent_maps(n, kind))
+        S = enum(n)
+        classes = omega_classes(S)
+        assert len(classes) == len(_idempotent_images(S.images, n))
         for f, members in classes.items():
             made = _omega_class(f.img)
             assert len(made) == len(set(made))
@@ -213,33 +219,31 @@ class TestOrbits:
 
     @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
     def test_one_class_per_conjugacy_class(self, enum, kind, n):
-        # keyed by the first idempotent of each class that the generator makes
-        firsts = {}
-        for e in _idempotent_maps(n, kind):
-            firsts.setdefault(_orbit_key(e.img), e)
+        # keyed by the representative of each class, in order
         got = list(_omega_classes(n, kind))
-        assert [f for f, _ in got] == list(firsts.values())
+        assert [f.img for f, _ in got] == _class_reps(n, kind)
         assert all([a.img for a in members] == _omega_class(f.img) for f, members in got)
         cls = Transformation if kind == "full" else PartialTransformation
         assert all(type(a) is cls for f, members in got for a in [f, *members])
 
-    def test_orbit_keys_count_the_conjugacy_classes(self):
-        # p(n) classes of idempotents in T_n; in P_n, the points sent to ⊥ are
-        # any m ≤ n of them, and the rest are split as a partition of n − m
-        for n in range(1, 7):
-            keys = set(map(_orbit_key, _idempotent_maps(n, "full").images))
-            assert len(keys) == partitions(n)
-        for n in range(1, 6):
-            keys = set(map(_orbit_key, _idempotent_maps(n, "partial").images))
-            assert len(keys) == sum(map(partitions, range(n + 1)))
+    @pytest.mark.parametrize(
+        "enum, kind, top", [(enumerate_full, "full", 5), (enumerate_partial, "partial", 4)]
+    )
+    def test_one_representative_per_conjugacy_class(self, enum, kind, top):
+        # the classes found by conjugating every idempotent by all n! permutations:
+        # p(n) of them in T_n; in P_n, the points sent to ⊥ are any m ≤ n of them,
+        # and the rest are split as a partition of n − m
+        for n in range(1, top + 1):
+            classes = {
+                frozenset(conjugate(f, s).img for s in itertools.permutations(range(n)))
+                for f in idempotents(enum(n))
+            }
+            reps = _class_reps(n, kind)
+            assert [sum(r in c for r in reps) for c in classes] == [1] * len(classes)
+            assert len(reps) == len(classes)
+            sizes = range(0 if kind == "partial" else n, n + 1)  # points not sent to ⊥
+            assert len(classes) == sum(map(partitions, sizes))
         assert [partitions(n) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
-
-    @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
-    def test_orbit_keys_are_conjugacy(self, enum, kind, n):
-        es = idempotents(enum(n))
-        for f in es:
-            orbit = {conjugate(f, s) for s in itertools.permutations(range(n))}
-            assert {g for g in es if _orbit_key(g.img) == _orbit_key(f.img)} == orbit
 
     @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
     def test_conjugate_pools_share_clique_numbers(self, enum, kind, n):
@@ -255,23 +259,24 @@ class TestOrbits:
             return max_clique_bits(adj)[0]
 
         S = enum(n)
-        reps = {_orbit_key(f.img): (f, pool) for f, pool in _omega_classes(n, kind)}
+        reps = {f.img: (f, pool) for f, pool in _omega_classes(n, kind)}
+        representative = representative_of(n, kind)
         classes = omega_classes(S)
         assert len(classes) > len(reps)
         for f, pool in classes.items():
-            g, rep = reps[_orbit_key(f.img)]
+            g, rep = reps[representative[f.img]]
             assert omega(pool) == omega(rep)
             assert null_omega(f, pool) == null_omega(g, rep)
 
     @pytest.mark.parametrize("enum, kind, n", ORBIT_DEGREES, ids=["T4", "P3"])
     def test_conjugates_walk_lists_what_every_permutation_lists(self, enum, kind, n):
         # one σ per conjugate, walked by (0 1) and (0 1 … n−1), against all n! of them
-        S = enum(n)
-        pools = list(_class_pools(S))
+        pools = list(_class_pools(n, kind, _omega_class))
         pools += [(f, items, commuting_rows(items)) for f, items in _omega_classes(n, kind)]
         for f, items, adj in pools:
             cliques = [[items[i] for i in K] for K in max_clique_bits(adj, ties=True)[1]]
-            walked = [(g.img, frozenset(a.img for a in K)) for g, K in _conjugates(f, cliques)]
+            bytes_cliques = [[a.img for a in K] for K in cliques]
+            walked = [(g, frozenset(K)) for g, K in _conjugates(f.img, bytes_cliques)]
             every = {
                 (conjugate(f, s).img, frozenset(conjugate(a, s).img for a in K))
                 for s in itertools.permutations(range(n))
@@ -293,16 +298,16 @@ def whole_pool(S):
     return size, tuple(sets), tuple(map(_tag_commutative, sets))
 
 
-def idempotent_pool(kind):
-    return lambda n: _idempotent_maps(n, kind)
+def idempotent_pool(enum):
+    return lambda n: SemigroupSet(idempotents(enum(n)))
 
 
 # (search, its whole pool at degree n, kind, top degree compared)
 CLASS_POOL_CASES = [
     (max_commutative, enumerate_full, "full", 5),
     (max_commutative, enumerate_partial, "partial", 4),
-    (max_commutative_idempotent, idempotent_pool("full"), "full", 6),
-    (max_commutative_idempotent, idempotent_pool("partial"), "partial", 5),
+    (max_commutative_idempotent, idempotent_pool(enumerate_full), "full", 6),
+    (max_commutative_idempotent, idempotent_pool(enumerate_partial), "partial", 5),
 ]
 
 
@@ -337,13 +342,13 @@ class TestClassPools:
         assert len(r.maximizers) == len(set(r.maximizers))
 
     @pytest.mark.parametrize(
-        "S",
-        [enumerate_full(4), enumerate_partial(3), _idempotent_maps(5, "full")],
+        "n, kind, block",
+        [(4, "full", _omega_class), (3, "partial", _omega_class), (5, "full", lambda e: [e])],
         ids=["T4", "P3", "E(T5)"],
     )
-    def test_pool_order_does_not_matter(self, S):
+    def test_pool_order_does_not_matter(self, n, kind, block):
         # each pool's floor is the best size so far, which ties still reach
-        pools = list(_class_pools(S))
+        pools = list(_class_pools(n, kind, block))
         assert len(pools) > 2
 
         def search(pools):
@@ -356,15 +361,43 @@ class TestClassPools:
             assert search(pools) == want
 
     def test_pools_cover_one_class_each(self):
-        # keys: one idempotent per class of non-central idempotents, then the identity
-        S = enumerate_full(5)
-        keys = [f for f, _, _ in _class_pools(S)]
-        assert keys[-1] == Transformation.identity(5)
-        assert sorted(_orbit_key(f.img) for f in keys[:-1]) == sorted(
-            {_orbit_key(e.img) for e in idempotents(S)} - {(1,) * 5}
-        )
-        sizes = [len(items) for _, items, _ in _class_pools(S)]
-        assert sizes[-1] == 120  # the permutations, whose ω-power is the identity
+        # keys: the representative of each class of non-central idempotents, then the identity
+        pools = list(_class_pools(5, "full", _omega_class))
+        keys = [f.img for f, _, _ in pools]
+        identity = Transformation.identity(5).img
+        assert keys[-1] == identity
+        assert sorted(keys[:-1]) == sorted(set(_class_reps(5, "full")) - {identity})
+        assert len(pools[-1][1]) == 120  # the permutations, whose ω-power is the identity
+
+    @pytest.mark.parametrize(
+        "enum, kind, n",
+        [*ORBIT_DEGREES, (enumerate_full, "full", 5), (enumerate_partial, "partial", 4)],
+        ids=["T4", "P3", "T5", "P4"],
+    )
+    def test_omega_layout_is_every_map_once_one_span_per_class(self, monkeypatch, enum, kind, n):
+        order = layout(monkeypatch, n, kind, _omega_class)
+        S = enum(n)
+        assert sorted(order) == list(S.images)
+        representative = representative_of(n, kind)
+        cls = S.element_class
+        labels = [representative[omega_power(_raw(cls, a)).img] for a in order]
+        assert [r for r, _ in itertools.groupby(labels)] == _class_reps(n, kind)
+
+    @pytest.mark.parametrize(
+        "enum, kind, top", [(enumerate_full, "full", 6), (enumerate_partial, "partial", 5)]
+    )
+    def test_idempotent_layout_is_every_idempotent_once(self, monkeypatch, enum, kind, top):
+        for n in range(1, top + 1):
+            order = layout(monkeypatch, n, kind, lambda e: [e])
+            assert sorted(order) == _idempotent_images(enum(n).images, n)
+
+    def test_idempotent_layout_sizes(self, monkeypatch):
+        # Σ_k C(n,k)·k^(n−k) idempotents in T_n, and Σ_k C(n,k)·(k+1)^(n−k) in P_n
+        def sizes(kind, top):
+            return [len(layout(monkeypatch, n, kind, lambda e: [e])) for n in range(1, top + 1)]
+
+        assert sizes("full", 7) == [1, 3, 10, 41, 196, 1057, 6322]
+        assert sizes("partial", 6) == [2, 6, 23, 104, 537, 3100]
 
 
 class TestPclique:
@@ -467,6 +500,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative, 4, "full", 8,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
      "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative, 5, "full", 16,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4",
+     "0d0bd2c96ebf322761757652ab330a11b5a5c7be284b1fe1ff622d13155af577"),
     (max_commutative, 6, "full", 32,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5",
      "60a666b13ac775ae8584a303c91d3f1e5b78c1ebc1e736ee382cd2de737e223a"),
@@ -479,6 +515,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative, 3, "partial", 8,
      "EIX",
      "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_commutative, 4, "partial", 16,
+     "EIX",
+     "9909b6da4a0c9d67163a6dc5f7978f296fbb47b28918e4694f125dadae72a5dc"),
     (max_commutative, 5, "partial", 32,
      "EIX",
      "75579b72a89168569fdaa2eee20f5c1c17459ed59046c8b736f4359a31ead66c"),
@@ -494,6 +533,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 4, "full", 8,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3",
      "4b4d55dcdbb33b084b20be08f54867bd4661064061191473a4335422d0eebe43"),
+    (max_commutative_idempotent, 5, "full", 16,
+     "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4",
+     "0d0bd2c96ebf322761757652ab330a11b5a5c7be284b1fe1ff622d13155af577"),
     (max_commutative_idempotent, 7, "full", 64,
      "GAMMA:0 GAMMA:1 GAMMA:2 GAMMA:3 GAMMA:4 GAMMA:5 GAMMA:6",
      "bcf3b517dccee8984d0ebd2235ca57a3fa9b6272af81377de5ff1f53b581abca"),
@@ -509,6 +551,9 @@ PINNED_MAXIMIZERS = [
     (max_commutative_idempotent, 3, "partial", 8,
      "EIX",
      "ef6e411e546e13c2766bc9f65d103d3766e002a5e41f887f8d811a3c69b58049"),
+    (max_commutative_idempotent, 4, "partial", 16,
+     "EIX",
+     "9909b6da4a0c9d67163a6dc5f7978f296fbb47b28918e4694f125dadae72a5dc"),
     (max_commutative_idempotent, 6, "partial", 64,
      "EIX",
      "6ad48b10693ca7c6f3886c400d083bc42c042f26eb872a28f4e71891613d66dd"),
@@ -690,17 +735,17 @@ def test_pinned_maximizers(search, n, kind, size, tags, digest):
     [
         case
         for case in PINNED_MAXIMIZERS
-        if case[0] in (max_null, max_unique_idempotent)
-        and case[1:3] in ((5, "full"), (4, "partial"))
+        if case[1:3] in ((5, "full"), (4, "partial"))
     ],
 )
 def test_omega_searches_enumerate_nothing(monkeypatch, search, n, kind, size, tags, digest):
-    # each ω-class is made from its idempotent, so T_n and P_n are never listed
+    # each class is made from one idempotent, so T_n and P_n are never listed
     def refuse(n):
         raise AssertionError(f"enumerated the monoid of degree {n}")
 
     monkeypatch.setattr(oracle, "enumerate_full", refuse)
     monkeypatch.setattr(oracle, "enumerate_partial", refuse)
+    monkeypatch.setattr(oracle, "enumerate_sym", refuse)
     test_pinned_maximizers(search, n, kind, size, tags, digest)
 
 

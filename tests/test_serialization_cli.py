@@ -811,12 +811,14 @@ VERIFY_RANGES = {
 class TestVerifyRange:
     """Pins the accepted degrees of every claim without running a real search.
 
-    Enumeration, and the idempotent generator of idem-max, are replaced by
-    the identity and the constants to 0 and 1 of the requested degree, so
-    every search and graph statistic runs on a tiny non-commutative monoid,
-    and the ω-classes of unique-idem-max and null-max by those three maps,
-    each alone in its class: accepted degrees exit 0 or 1, and every other
-    degree must exit 2.
+    Enumeration is replaced by the identity and the constants to 0 and 1 of
+    the requested degree, so every graph statistic runs on a tiny
+    non-commutative monoid; the class representatives by the identity and
+    the constant to 0, and each ω-class by its idempotent alone, so the
+    class searches lay out the identity and the n constants; and the
+    ω-classes of unique-idem-max and null-max by the three maps, each alone
+    in its class: accepted degrees exit 0 or 1, and every other degree must
+    exit 2.
     """
 
     @staticmethod
@@ -837,7 +839,8 @@ class TestVerifyRange:
             "enumerate_full": self._tiny(Transformation),
             "enumerate_partial": self._tiny(PartialTransformation),
             "enumerate_sym": lambda n: SemigroupSet([Transformation.identity(n)]),
-            "_idempotent_maps": tiny,
+            "_class_reps": lambda n, kind: list(dict.fromkeys([bytes(range(n)), bytes(n)])),
+            "_omega_class": lambda f: [f],
             "_omega_classes": lambda n, kind: [(e, [e]) for e in tiny(n, kind)],
         }
         for modname, mod in list(sys.modules.items()):

@@ -41,7 +41,7 @@ _PRINT_LIMIT = 64
 # Each closure, commute or center check reads up to |S|² products off image bytes
 # (about 2 s of CPU at 4,096 maps), so the file commands refuse more.
 _MAX_FILE_ELEMENTS = 4096
-_MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K; verify searches up to 4
+_MAX_KNIT_LENGTH = 4  # graph --knit K is exponential in K
 
 # ``construct`` refuses a degree whose set would pass _MAX_CONSTRUCT_ELEMENTS
 # (about 1 s to build and write), and ``xi`` a table over _MAX_XI_ROWS rows
@@ -314,6 +314,7 @@ def _cmd_verify(args) -> int:
             "expected": _jsonable_value(expected),
             "computed": _jsonable_value(computed),
             "match": match,
+            "method": "certificate" if args.n >= claim.certified_from else "search",
             "witness_digests": digests[:40],
             "runtime_seconds": round(runtime, 3),
         }

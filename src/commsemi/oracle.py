@@ -26,6 +26,11 @@ every answer set is re-checked for product closure (and whatever structure
 the claim demands) before it is reported, and the module-wide counter
 records every such check so a test run can assert that no violation ever
 occurred.
+
+Girth and knit degree are searched only at n = 2.  Past it, a triangle and
+a left path of one edge, built directly, are re-checked by the same byte
+rules (:func:`_certify`), and centrality, here and for ``pclique``, is
+tested against a generating set of T_n or P_n (:func:`_generators`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Callable, NamedTuple
 from .extremal import (
     e_ix,
     gamma,
+    knit_witness,
     null_max,
     omega_pn,
     xi_alpha,
@@ -71,7 +77,15 @@ from .semigroups import (
     is_group,
     is_null,
 )
-from .transform import _FILL, PartialTransformation, Transformation, _omega_image, _raw, product
+from .transform import (
+    _FILL,
+    _MAX_DEGREE,
+    PartialTransformation,
+    Transformation,
+    _omega_image,
+    _raw,
+    product,
+)
 # omega_power is unused here, but perfbench/test_harness.py pins this binding.
 from .transform import omega_power
 
@@ -154,13 +168,7 @@ def _check_degree(claim: str, n: int, kind: str) -> None:
     lo, hi = degrees.get(kind, (1, 0))
     if not lo <= n <= hi:
         caps = ", ".join(f"{a} ≤ n ≤ {b} for kind={k}" for k, (a, b) in degrees.items())
-        raise ValueError(f"{claim} is computed exhaustively, capped at {caps}; got n={n}")
-
-
-def _enumerate(claim: str, n: int, kind: str) -> SemigroupSet:
-    """All of T_n or P_n, once the claim's degree range admits n."""
-    _check_degree(claim, n, kind)
-    return enumerate_full(n) if kind == "full" else enumerate_partial(n)
+        raise ValueError(f"{claim} is computed in the capped range {caps}; got n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +558,15 @@ class Claim(NamedTuple):
     ``expected(n, kind)`` is the published value and raises ValueError
     outside the published domain.  ``compute(n, kind)`` returns the
     recomputed value and the witness sets behind it.  ``degrees`` maps
-    each kind to the inclusive degree range ``compute`` accepts.
+    each kind to the inclusive degree range ``compute`` accepts.  From
+    degree ``certified_from`` on, ``compute`` checks a certificate built
+    directly instead of searching.
     """
 
     expected: Callable[[int, str], object]
     compute: Callable[[int, str], tuple[object, tuple[SemigroupSet, ...]]]
     degrees: dict[str, tuple[int, int]]
+    certified_from: float = math.inf
 
 
 def _published(claim: str, value, full=None, partial=None):
@@ -597,22 +608,94 @@ def _compute_abelian(n: int, kind: str):
     return _witnessed(max_abelian_subgroup(n))
 
 
+def _generators(n: int, kind: str) -> list[bytes]:
+    """A generating set of T_n or P_n, on image bytes.
+
+    (0 1) and (0 1 … n−1) generate Sym_n; with the idempotent of rank n − 1
+    that sends 0 to 1 they generate T_n, and with the partial identity on
+    X∖{0} too, P_n.  A map that commutes with each generator commutes with
+    every product of them, so it is central.  At n = 1 they are id (and ∅).
+    """
+    identity = bytes(range(n))
+    tail = identity[1:]
+    gens = [identity[1::-1] + identity[2:], tail + identity[:1], bytes([min(1, n - 1)]) + tail]
+    if kind == "partial":
+        gens.append(bytes([n]) + tail)
+    return gens
+
+
+def _certify(claim: str, n: int, kind: str, path: list[bytes], left: bool) -> None:
+    """RuntimeError unless ``path`` is a path of the commuting graph of T_n or P_n.
+
+    Its maps must be distinct, non-central by the generator test
+    (:func:`_generators`), and each must commute with the next, by the byte
+    rule of :mod:`.semigroups`.  A left path's ends must act alike on each
+    map y of it, first·y = last·y, as :func:`.graphs.shortest_left_path`
+    reads it; any other path must close into a cycle, its ends commuting.
+    """
+    fill = _FILL[n]
+    tables = [a + fill for a in path]
+    first, last = path[0], path[-1]
+    steps = zip(path, tables, path[1:], tables[1:])
+    if left:
+        ends = list(map(first.translate, tables)) == list(map(last.translate, tables))
+    else:
+        ends = first.translate(tables[-1]) == last.translate(tables[0])
+    if not (
+        len(set(path)) == len(path)
+        and not any(_commute_with_all(path, _generators(n, kind)))
+        and all(a.translate(tb) == b.translate(ta) for a, ta, b, tb in steps)
+        and ends
+    ):
+        raise RuntimeError(f"{claim} certificate fails its check at n={n}, kind={kind}: {path!r}")
+
+
+def _compute_girth(n: int, kind: str):
+    """∞ at n = 2, by a search of the 4 or 9 maps; else 3, by a checked triangle.
+
+    A simple graph has no shorter cycle.  The triangle (:func:`_certify`) is
+    the idempotents of Γ(n, 0) that send 1, 2 or both to 0 in T_n, and the
+    partial identities on X∖{0}, X∖{1} and X∖{0, 1} in P_n: no set of
+    2^(n−1) maps or more is built.
+    """
+    _check_degree("girth", n, kind)
+    if n == 2:
+        return girth(build((enumerate_full if kind == "full" else enumerate_partial)(n))), ()
+    sink, sent = (0, ({1}, {2}, {1, 2})) if kind == "full" else (n, ({0}, {1}, {0, 1}))
+    triangle = [bytes(sink if x in s else x for x in range(n)) for s in sent]
+    _certify("girth", n, kind, triangle, left=False)
+    return 3, ()
+
+
+def _compute_knit(n: int, kind: str):
+    """None at n = 2, by a search of lengths 1..4; else 1, by a checked left path.
+
+    The path (:func:`_certify`) is :func:`.extremal.knit_witness`, two full
+    maps, so maps of P_n too.  A path has at least one edge, so 1 is least.
+    """
+    _check_degree("knit", n, kind)
+    if n == 2:
+        return knit_degree((enumerate_full if kind == "full" else enumerate_partial)(n), 4), ()
+    path = [a.img for a in knit_witness(n)]
+    _certify("knit", n, kind, path, left=True)
+    return len(path) - 1, ()
+
+
 def _compute_pclique(n: int, kind: str):
     """The clique number of the commuting graph, and its least maximum clique.
 
     The center commutes with everything, so the graph's maximum cliques are
     the maximizers of :func:`max_commutative` minus the center.  The center
     lies in every maximizer, so only the first one's maps are tested, against
-    T_n or P_n enumerated after the search, so the two never peak together.
-    The witness is the least in canonical order.
+    the generators of T_n or P_n (:func:`_generators`).  The witness is the
+    least in canonical order.
     """
     _check_degree("pclique", n, kind)
     r = max_commutative(n, kind)
-    S = _enumerate("pclique", n, kind)
     first = r.maximizers[0].images
-    center = set(itertools.compress(first, _commute_with_all(first, S.images)))
+    center = set(itertools.compress(first, _commute_with_all(first, _generators(n, kind))))
     cliques = [[a for a in T.images if a not in center] for T in r.maximizers]
-    return r.size - len(center), (_from_images(S.element_class, min(cliques)),)
+    return r.size - len(center), (_from_images(r.maximizers[0].element_class, min(cliques)),)
 
 
 def _compute_xi_table(n: int, kind: str):
@@ -657,13 +740,15 @@ CLAIMS: dict[str, Claim] = {
     ),
     "girth": Claim(
         _published("girth", lambda n, full: math.inf if n == 2 else 3, _FROM_2, _FROM_2),
-        lambda n, kind: (girth(build(_enumerate("girth", n, kind))), ()),
-        {"full": (2, 6), "partial": (2, 5)},
+        _compute_girth,
+        {"full": (2, _MAX_DEGREE), "partial": (2, _MAX_DEGREE)},
+        certified_from=3,
     ),
     "knit": Claim(
         _published("knit", lambda n, full: None if n == 2 else 1, _FROM_2, _FROM_2),
-        lambda n, kind: (knit_degree(_enumerate("knit", n, kind), max_len=4), ()),
-        {"full": (2, 6), "partial": (2, 5)},
+        _compute_knit,
+        {"full": (2, _MAX_DEGREE), "partial": (2, _MAX_DEGREE)},
+        certified_from=3,
     ),
     "xi-table": Claim(
         _published(

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from commsemi import cli
+from commsemi import cli, oracle
 from commsemi.extremal import e_ix, gamma, knit_witness
 from commsemi.graphs import (
     CommGraph,
@@ -861,6 +861,22 @@ def test_centrality_results_at_every_accepted_degree(kind, n, size, digest):
     assert len(g.vertices) == len(S) - len(want)
     path = shortest_left_path(S)
     assert path == (None if n == 2 else [cls([0] * n), cls([0] * (n - 1) + [1])])
+    clique, (witness,) = CLAIMS["pclique"].compute(n, kind)
+    assert (clique, semigroup_digest(witness)) == (size, digest)
+
+
+@pytest.mark.parametrize(
+    "kind, n, size, digest",
+    PCLIQUE_WITNESSES,
+    ids=[f"{'T' if kind == 'full' else 'P'}{n}" for kind, n, _, _ in PCLIQUE_WITNESSES],
+)
+def test_pclique_enumerates_nothing(monkeypatch, kind, n, size, digest):
+    # its center is found by the generators of T_n or P_n, not by listing them
+    def refuse(n):
+        raise AssertionError(f"enumerated the monoid of degree {n}")
+
+    monkeypatch.setattr(oracle, "enumerate_full", refuse)
+    monkeypatch.setattr(oracle, "enumerate_partial", refuse)
     clique, (witness,) = CLAIMS["pclique"].compute(n, kind)
     assert (clique, semigroup_digest(witness)) == (size, digest)
 

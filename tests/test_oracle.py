@@ -7,16 +7,34 @@ from collections import Counter
 
 import pytest
 
-from commsemi import oracle
-from commsemi.extremal import abelian_witness, e_ix, gamma, null_max, omega_pn, xi_alpha
-from commsemi.graphs import RowReader, build, commuting_rows, max_clique, max_clique_bits
+from commsemi import cli, oracle
+from commsemi.extremal import (
+    abelian_witness,
+    e_ix,
+    gamma,
+    knit_witness,
+    null_max,
+    omega_pn,
+    xi_alpha,
+)
+from commsemi.graphs import (
+    RowReader,
+    build,
+    commuting_rows,
+    girth,
+    knit_degree,
+    max_clique,
+    max_clique_bits,
+)
 from commsemi.oracle import (
     ABELIAN_ORDERS,
     CLAIMS,
+    _certify,
     _checked_set,
     _class_pools,
     _class_reps,
     _conjugates,
+    _generators,
     _omega_class,
     _omega_classes,
     _search,
@@ -35,6 +53,7 @@ from commsemi.oracle import (
 from commsemi.semigroups import (
     ClosureLimitExceeded,
     SemigroupSet,
+    _commute_with_all,
     _idempotent_images,
     classify_small_abelian_group,
     closure,
@@ -932,6 +951,89 @@ class TestRandomGenerator:
             random_commutative_unique_idem(256, 0)
 
 
+SEARCHED_DEGREES = [("full", n) for n in range(2, 7)] + [("partial", n) for n in range(2, 6)]
+
+
+class TestCertificates:
+    """Girth and knit past n = 2 by checked certificates, centrality by the generators."""
+
+    @pytest.mark.parametrize("kind, n", SEARCHED_DEGREES)
+    def test_agree_with_the_searches(self, kind, n):
+        S = enumerate_full(n) if kind == "full" else enumerate_partial(n)
+        assert CLAIMS["girth"].compute(n, kind) == (girth(build(S)), ())
+        assert CLAIMS["knit"].compute(n, kind) == (knit_degree(S, 4), ())
+
+    @pytest.mark.parametrize(
+        "kind, n", [("full", n) for n in range(1, 7)] + [("partial", n) for n in range(1, 6)]
+    )
+    def test_generators_find_the_center(self, kind, n):
+        S = enumerate_full(n) if kind == "full" else enumerate_partial(n)
+        by_generators = _commute_with_all(S.images, _generators(n, kind))
+        assert by_generators == _commute_with_all(S.images, S.images)
+
+    def test_neither_enumerates_nor_searches(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated or searched")
+
+        for name in ("enumerate_full", "enumerate_partial", "build", "girth", "knit_degree"):
+            monkeypatch.setattr(oracle, name, refuse)
+        for kind in ("full", "partial"):
+            for n in (3, 4, 7, 50, 255):
+                assert CLAIMS["girth"].compute(n, kind) == (3, ())
+                assert CLAIMS["knit"].compute(n, kind) == (1, ())
+
+    @pytest.mark.parametrize("n", [3, 5, 255])
+    def test_a_central_map_fails_the_check(self, n, monkeypatch):
+        # each path below passes every other rule: only its central map is wrong
+        ident, empty = bytes(range(n)), bytes([n] * n)
+        sent_to_0 = [bytes(0 if x == y else x for x in range(n)) for y in (1, 2)]
+        undefined_at = [bytes(n if x == y else x for x in range(n)) for y in (0, 1)]
+        nilpotent = bytes([1] + [n] * (n - 1))  # 0 ↦ 1, squares to ∅
+        for kind, path, left in [
+            ("full", [ident, *sent_to_0], False),
+            ("partial", [ident, *undefined_at], False),
+            ("partial", [empty, *undefined_at], False),
+            ("partial", [empty, nilpotent], True),
+        ]:
+            claim = "knit" if left else "girth"
+            with pytest.raises(RuntimeError, match=f"{claim} certificate fails its check"):
+                _certify(claim, n, kind, path, left)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_commute_with_all", lambda maps, pool: [False] * len(maps))
+                _certify(claim, n, kind, path, left)
+
+    @pytest.mark.parametrize("n", [3, 5, 255])
+    def test_each_rule_is_checked(self, n):
+        def sends(pairs):  # the map of T_n that sends each x to y for (x, y) in pairs, else fixes x
+            return bytes(dict(pairs).get(x, x) for x in range(n))
+
+        e1, e2, e12 = sends({1: 0}), sends({2: 0}), sends({1: 0, 2: 0})
+        c0, to_2 = bytes(n), sends({1: 2})  # c0 commutes with e1 and to_2; they do not commute
+        _certify("girth", n, "full", [e1, e2, e12], left=False)
+        _certify("knit", n, "full", [a.img for a in knit_witness(n)], left=True)
+        for path, left in [
+            ([e1, e1, e2], False),  # repeats a map
+            ([e1, to_2, c0], False),  # its first step does not commute
+            ([e1, c0, to_2], False),  # does not close
+            ([e1, e2], True),  # e1·e1 = e1 but e2·e1 = e12
+        ]:
+            with pytest.raises(RuntimeError, match="certificate fails its check"):
+                _certify("knit" if left else "girth", n, "full", path, left)
+
+    def test_a_failed_certificate_exits_1_without_a_search(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to a search")
+
+        for name in ("enumerate_full", "enumerate_partial", "build", "girth", "knit_degree"):
+            monkeypatch.setattr(oracle, name, refuse)
+        empty_and_nilpotent = (PartialTransformation.empty(5), PartialTransformation([1] + [None] * 4))
+        monkeypatch.setattr(oracle, "knit_witness", lambda n: empty_and_nilpotent)
+        with pytest.raises(RuntimeError, match="knit certificate fails its check"):
+            CLAIMS["knit"].compute(5, "partial")
+        assert cli.run(["verify", "--claim", "knit", "--n", "5", "--kind", "partial"]) == 1
+        assert "knit certificate fails its check" in capsys.readouterr().err
+
+
 class TestCaps:
     def test_degree_caps(self):
         with pytest.raises(ValueError):
@@ -953,9 +1055,9 @@ class TestCaps:
         with pytest.raises(ValueError):
             max_null(7, "partial")
         with pytest.raises(ValueError, match="capped"):
-            CLAIMS["girth"].compute(7, "full")
+            CLAIMS["girth"].compute(256, "full")
         with pytest.raises(ValueError, match="capped"):
-            CLAIMS["girth"].compute(6, "partial")
+            CLAIMS["knit"].compute(256, "partial")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -683,8 +683,7 @@ class TestCliGraph:
         assert "knit degree: none (searched lengths 1..3)" in out
 
     def test_knit_length_over_the_cap(self, capsys, t3_file):
-        # verify searches lengths up to 4; a longer search is refused before
-        # the graph is built
+        # a longer search is refused before the graph is built
         assert cli.run(["graph", t3_file, "--knit", "5"]) == 2
         captured = capsys.readouterr()
         assert "vertices:" not in captured.out
@@ -741,6 +740,37 @@ class TestCliVerify:
     def test_knit_none(self, capsys):
         assert cli.run(["verify", "--claim", "knit", "--n", "2", "--kind", "partial"]) == 0
         assert "expected=none computed=none match=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    @pytest.mark.parametrize("claim, value", [("girth", "3"), ("knit", "1")])
+    def test_certified_up_to_the_byte_cap(self, capsys, tmp_path, claim, value, kind):
+        report_path = tmp_path / "r.json"
+        for n in (3, 7, 50, 255):
+            args = ["verify", "--claim", claim, f"--n={n}", "--kind", kind, "--json", str(report_path)]
+            assert cli.run(args) == 0
+            assert capsys.readouterr().out == (
+                f"claim={claim} n={n} kind={kind} expected={value} computed={value} match=True\n"
+                f"wrote {report_path}\n"
+            )
+            report = json.loads(report_path.read_text())
+            assert (report["match"], report["method"], report["witness_digests"]) == (
+                True,
+                "certificate",
+                [],
+            )
+        assert cli.run(["verify", "--claim", claim, "--n=256", "--kind", kind]) == 2
+        assert "capped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "claim, n, kind",
+        [("girth", 2, "full"), ("knit", 2, "partial"), ("pclique", 3, "full"), ("xi-table", 4, "full")],
+    )
+    def test_method_is_search_otherwise(self, capsys, tmp_path, claim, n, kind):
+        report_path = tmp_path / "r.json"
+        args = ["verify", "--claim", claim, f"--n={n}", "--kind", kind, "--json", str(report_path)]
+        assert cli.run(args) == 0
+        capsys.readouterr()
+        assert json.loads(report_path.read_text())["method"] == "search"
 
     def test_comm_max_partial_json(self, capsys, tmp_path):
         report_path = tmp_path / "r.json"
@@ -802,10 +832,11 @@ VERIFY_RANGES = {
     "null-max": {"full": (1, 7), "partial": (1, 6)},
     "abelian-max": {"full": (2, 7), "partial": None},
     "pclique": {"full": (2, 6), "partial": (2, 5)},
-    "girth": {"full": (2, 6), "partial": (2, 5)},
-    "knit": {"full": (2, 6), "partial": (2, 5)},
+    "girth": {"full": (2, 255), "partial": (2, 255)},
+    "knit": {"full": (2, 255), "partial": (2, 255)},
     "xi-table": {"full": (1, 20), "partial": (1, 20)},
 }
+DEGREES_TRIED = [*range(-2, 25), 254, 255, 256]
 
 
 class TestVerifyRange:
@@ -818,7 +849,7 @@ class TestVerifyRange:
     class searches lay out the identity and the n constants; and the
     ω-classes of unique-idem-max and null-max by the three maps, each alone
     in its class: accepted degrees exit 0 or 1, and every other degree must
-    exit 2.
+    exit 2, over ``DEGREES_TRIED``: -2..24, and 254..256 at the byte cap.
     """
 
     @staticmethod
@@ -853,14 +884,14 @@ class TestVerifyRange:
         accepted = {}
         for claim, kinds in VERIFY_RANGES.items():
             for kind in kinds:
-                for n in range(-2, 25):
+                for n in DEGREES_TRIED:
                     code = cli.run(["verify", "--claim", claim, f"--n={n}", "--kind", kind])
                     assert code in (0, 1, 2), (claim, kind, n, code)
                     if code != 2:
                         accepted.setdefault((claim, kind), []).append(n)
         capsys.readouterr()
         expected = {
-            (claim, kind): list(range(span[0], span[1] + 1))
+            (claim, kind): [n for n in DEGREES_TRIED if span[0] <= n <= span[1]]
             for claim, kinds in VERIFY_RANGES.items()
             for kind, span in kinds.items()
             if span is not None

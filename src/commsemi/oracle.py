@@ -478,6 +478,8 @@ def max_abelian_subgroup(n: int) -> OracleResult:
 # ---------------------------------------------------------------------------
 # the random generator
 
+_WORDS = 1024  # 32-bit words the sampler reads from its generator at a time
+
 
 def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
     """Seeded random closed commutative semigroup with one idempotent ≠ id.
@@ -490,55 +492,91 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
     so without the best-of step nearly every output would be a tiny cyclic
     semigroup.  Deterministic per seed.
 
-    Each image point is drawn as ``rng.randrange(n)`` draws it (the same
-    ``getrandbits`` calls, rejecting values ≥ n), so the output is the same
-    as drawing ``Transformation`` objects with ``randrange``.  Candidates
-    are drawn, commute-tested, closed (by the closure kernel) and screened
-    on their image bytes; only the returned best becomes a set.
+    The draws are those of ``rng.randint(1, 3)`` for the batch size and of
+    ``rng.randrange(n)`` for each image point: ``getrandbits(k)``, k ≤ 8,
+    drawn again while out of range.  Two facts of CPython's generator let
+    the words be read in blocks instead:
+
+    * ``getrandbits(32·m)`` is m successive 32-bit words, the first one
+      least significant;
+    * ``getrandbits(k)`` for k ≤ 32 is the top k bits of one word.
+
+    So a word's high byte decides its draw: a point is its top
+    ``n.bit_length()`` bits, rejected if ≥ n, a batch size 1 plus its top
+    two bits, rejected on 3.  Each batch cuts its 25 candidates off the
+    accepted points and counts its way back to the next unread word.  The
+    24 after the first are commute-tested against each kept generator at
+    once, a column of points at a time.
+
+    A screened closure ⟨G⟩ is checked to commute with each distinct
+    generator, which is commutativity: a map that commutes with each
+    generator commutes with every product of them.  A new best is also
+    checked pair by pair.  Only the returned best becomes a set.
     """
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
     rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
     ident = Transformation.identity(n).img  # checks the degree before any draw
     fill = _FILL[n]
+    shift = 8 - n.bit_length()  # a point is a word's high byte >> shift
+    points = bytes(b >> shift for b in range(256))
+    rejected = bytes(range(n << shift, 256))  # the high bytes that draw a point ≥ n
+    accepted = b"\x01" * (n << shift) + bytes(256 - (n << shift))
+    span = 25 * n  # a batch's candidates, in points
+    from_bytes = int.from_bytes
+    # the high bytes of the words read ahead, their accepted points, and a flag
+    # per word, 1 if its point is accepted
+    hi = pts = flags = b""
+    pos = at = 0  # the next unread word of hi, and the next unread point of pts
     best: list[bytes] | None = None
     for batch in range(2000):
         if best is not None and batch >= 60:
             break
-        want = rng.randint(1, 3)
-        gens: list[bytes] = []  # duplicates kept: each one counts toward want
-        tables: list[bytes] = []
-        tries = 0
-        while len(gens) < want and tries < 25:
-            tries += 1
-            draw = []
-            for _ in range(n):
-                r = getrandbits(bits)
-                while r >= n:
-                    r = getrandbits(bits)
-                draw.append(r)
-            cand = bytes(draw)
-            table = cand + fill
-            for g, t in zip(gens, tables):
-                if cand.translate(t) != g.translate(table):  # cand·g ≠ g·cand
-                    break
+        r = 3  # randint(1, 3) - 1: a word's top two bits, drawn again on 3
+        while r == 3:
+            while len(pts) - at <= span:  # more points unread than 25 candidates take
+                block = rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
+                hi = hi[pos:] + block[3::4]
+                pts, flags = hi.translate(points, rejected), hi.translate(accepted)
+                pos = at = 0
+            r = hi[pos] >> 6
+            at += flags[pos]
+            pos += 1
+        want = 1 + r
+        gens = [pts[at : at + n]]  # duplicates kept: each one counts toward want
+        rest = pts[at + n : at + span]
+        clash = 0  # byte i is 0 iff candidate i commutes with every kept generator
+        used = 0  # candidates read after the first
+        while len(gens) < want and used < 24:
+            g = gens[-1]
+            table = g + fill
+            for x, y in enumerate(g):  # point x of each cand·g, and of each g·cand: cand[g[x]]
+                left = rest[x::n].translate(table)
+                clash |= from_bytes(left, "big") ^ from_bytes(rest[y::n], "big")
+            i = clash.to_bytes(24, "big").find(0, used)
+            if i < 0:
+                used = 24
             else:
-                gens.append(cand)
-                tables.append(table)
-        if not gens:
-            continue
+                gens.append(rest[i * n : i * n + n])
+                used = i + 1
+        short = n + used * n  # the points read, each from a word of its own
+        at += short
+        while short:  # pass that many words, then one more per rejected word among them
+            pos, short = pos + short, flags.count(0, pos, pos + short)
+        distinct = list(dict.fromkeys(gens))
         try:
-            imgs = _closure_images(list(dict.fromkeys(gens)), 400)
+            imgs = _closure_images(distinct, 400)
         except ClosureLimitExceeded:
             continue
         e = _sole_idempotent(imgs, n)
         if e is None or e == ident:
             continue
-        if not _all_commute(imgs, [a + fill for a in imgs]):  # cannot happen: commuting generators
+        tables = [x + fill for x in imgs]
+        better = best is None or len(imgs) > len(best)
+        commute = all(all(_commutes_with(g, g + fill, imgs, tables)) for g in distinct)
+        if not commute or better and not _all_commute(imgs, tables):  # cannot happen
             raise RuntimeError("closure of commuting generators is not commutative")
-        if best is None or len(imgs) > len(best):
+        if better:
             best = imgs
     if best is None:
         raise RuntimeError(

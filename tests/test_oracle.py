@@ -914,6 +914,59 @@ class TestRandomGenerator:
             unflagged = SemigroupSet(S.elements)
             assert unflagged.is_closed() and unflagged.is_commutative(), seed
 
+    @pytest.mark.parametrize(
+        "n, seeds", [(7, 5), (8, 5), (16, 4), (32, 3), (64, 3), (128, 2), (255, 2)]
+    )
+    def test_same_draws_at_every_draw_width(self, n, seeds):
+        # points of 3 to 8 bits; past n = 40 a batch's 25 candidates need
+        # more than one block of words, so a top-up reads several blocks
+        for seed in range(seeds):
+            S = random_commutative_unique_idem(n, seed)
+            assert S.elements == object_level_sampler(n, seed).elements, seed
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 7, 64])
+    def test_same_draws_whatever_the_block_size(self, monkeypatch, words):
+        # with blocks this small, nearly every batch tops up, and blocks end
+        # inside candidates and inside runs of rejected words
+        monkeypatch.setattr(oracle, "_WORDS", words)
+        for seed in range(10):
+            n = 2 + seed % 5
+            S = random_commutative_unique_idem(n, seed)
+            assert S.elements == object_level_sampler(n, seed).elements, seed
+
+    @staticmethod
+    def _add_a_stranger(monkeypatch):
+        """Make every closure hold one more map, a transposition that fails to
+        commute with a generator: no idempotent, so the screen still passes."""
+        real = oracle._closure_images
+
+        def closure_and_a_stranger(gens, limit):
+            imgs = real(gens, limit)
+            n = len(gens[0])
+            for i, j in itertools.combinations(range(n), 2):
+                t = bytearray(range(n))
+                t[i], t[j] = j, i
+                t = _raw(Transformation, bytes(t))
+                for g in gens:
+                    g = _raw(Transformation, g)
+                    if product(g, t) != product(t, g):
+                        return imgs + [t.img]
+            return imgs  # every generator is id, which commutes with all
+
+        monkeypatch.setattr(oracle, "_closure_images", closure_and_a_stranger)
+
+    def test_generator_check_fires(self, monkeypatch):
+        self._add_a_stranger(monkeypatch)
+        monkeypatch.setattr(oracle, "_all_commute", lambda imgs, tables: True)
+        with pytest.raises(RuntimeError, match="closure of commuting generators is not commutative"):
+            random_commutative_unique_idem(5, 0)
+
+    def test_pairwise_check_of_a_new_best_fires(self, monkeypatch):
+        self._add_a_stranger(monkeypatch)
+        monkeypatch.setattr(oracle, "_commutes_with", lambda *args: iter([True]))
+        with pytest.raises(RuntimeError, match="closure of commuting generators is not commutative"):
+            random_commutative_unique_idem(5, 0)
+
     def test_deterministic(self):
         a = random_commutative_unique_idem(5, 123)
         b = random_commutative_unique_idem(5, 123)
@@ -949,6 +1002,33 @@ class TestRandomGenerator:
     def test_degree_checked_before_drawing(self):
         with pytest.raises(ValueError, match="degree must be between 1 and 255"):
             random_commutative_unique_idem(256, 0)
+
+
+class TestStreamFacts:
+    """The facts of CPython's ``random`` that the sampler reads its words by."""
+
+    def test_wide_getrandbits_is_successive_words_least_significant_first(self):
+        for seed in range(20):
+            for m in (1, 2, 3, 5, 1024):
+                wide, narrow = random.Random(seed), random.Random(seed)
+                words = [narrow.getrandbits(32) for _ in range(m)]
+                assert wide.getrandbits(32 * m) == sum(w << (32 * i) for i, w in enumerate(words))
+                assert wide.getrandbits(32) == narrow.getrandbits(32)  # still in step
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_narrow_getrandbits_is_the_top_of_a_word(self, k):
+        narrow, word = random.Random(k), random.Random(k)
+        for _ in range(2000):
+            assert narrow.getrandbits(k) == word.getrandbits(32) >> (32 - k)
+
+    def test_randint_1_3_is_the_first_2_bit_draw_below_3(self):
+        for seed in range(300):
+            rng, bits = random.Random(seed), random.Random(seed)
+            r = bits.getrandbits(2)
+            while r == 3:
+                r = bits.getrandbits(2)
+            assert rng.randint(1, 3) == 1 + r, seed
+            assert rng.getrandbits(32) == bits.getrandbits(32), seed  # still in step
 
 
 SEARCHED_DEGREES = [("full", n) for n in range(2, 7)] + [("partial", n) for n in range(2, 6)]

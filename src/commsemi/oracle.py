@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from typing import Callable, NamedTuple
 
@@ -591,33 +590,28 @@ def random_commutative_unique_idem(n: int, seed: int) -> SemigroupSet:
 
 
 class Claim(NamedTuple):
-    """One published value, the code that recomputes it, and where it runs.
+    """One published value, the code that recomputes it, and where each runs.
 
-    ``expected(n, kind)`` is the published value and raises ValueError
-    outside the published domain.  ``compute(n, kind)`` returns the
-    recomputed value and the witness sets behind it.  ``degrees`` maps
-    each kind to the inclusive degree range ``compute`` accepts.  From
-    degree ``certified_from`` on, ``compute`` checks a certificate built
-    directly instead of searching.
+    ``value(n, is_full)`` is the published value at the degrees of
+    ``published``, which maps each kind to an inclusive range.
+    ``compute(n, kind)`` returns the recomputed value, the witness sets
+    behind it and their tags, at the degrees of ``degrees``, mapped alike.
+    From degree ``certified_from`` on, ``compute`` checks a certificate
+    built directly instead of searching.
     """
 
-    expected: Callable[[int, str], object]
-    compute: Callable[[int, str], tuple[object, tuple[SemigroupSet, ...]]]
+    value: Callable[[int, bool], object]
+    published: dict[str, tuple[int, float]]
+    compute: Callable[[int, str], tuple[object, tuple[SemigroupSet, ...], tuple[str, ...]]]
     degrees: dict[str, tuple[int, int]]
     certified_from: float = math.inf
 
 
-def _published(claim: str, value, full=None, partial=None):
-    """``expected`` for a claim: ``value(n, is_full)`` on the published ranges."""
-    ranges = {"full": full, "partial": partial}
-
-    def expected(n: int, kind: str):
-        span = ranges.get(kind)
-        if span is None or not span[0] <= n <= span[1]:
-            raise ValueError(f"no published value for {claim} at n={n}, kind={kind}")
-        return value(n, kind == "full")
-
-    return expected
+def _check_published(claim: str, n: int, kind: str) -> None:
+    """ValueError unless ``CLAIMS[claim]`` is published at degree n for this kind."""
+    lo, hi = CLAIMS[claim].published.get(kind, (1, 0))
+    if not lo <= n <= hi:
+        raise ValueError(f"no published value for {claim} at n={n}, kind={kind}")
 
 
 def _comm(n: int, full: bool) -> int:
@@ -637,13 +631,9 @@ def _pclique(n: int, full: bool) -> int:
     return _comm(n, full) - (1 if full else 2)
 
 
-def _witnessed(r: OracleResult) -> tuple[int, tuple[SemigroupSet, ...]]:
-    return r.size, r.maximizers
-
-
 def _compute_abelian(n: int, kind: str):
     _check_degree("abelian-max", n, kind)
-    return _witnessed(max_abelian_subgroup(n))
+    return max_abelian_subgroup(n)
 
 
 def _generators(n: int, kind: str) -> list[bytes]:
@@ -698,11 +688,11 @@ def _compute_girth(n: int, kind: str):
     """
     _check_degree("girth", n, kind)
     if n == 2:
-        return girth(build((enumerate_full if kind == "full" else enumerate_partial)(n))), ()
+        return girth(build((enumerate_full if kind == "full" else enumerate_partial)(n))), (), ()
     sink, sent = (0, ({1}, {2}, {1, 2})) if kind == "full" else (n, ({0}, {1}, {0, 1}))
     triangle = [bytes(sink if x in s else x for x in range(n)) for s in sent]
     _certify("girth", n, kind, triangle, left=False)
-    return 3, ()
+    return 3, (), ()
 
 
 def _compute_knit(n: int, kind: str):
@@ -713,10 +703,10 @@ def _compute_knit(n: int, kind: str):
     """
     _check_degree("knit", n, kind)
     if n == 2:
-        return knit_degree((enumerate_full if kind == "full" else enumerate_partial)(n), 4), ()
+        return knit_degree((enumerate_full if kind == "full" else enumerate_partial)(n), 4), (), ()
     path = [a.img for a in knit_witness(n)]
     _certify("knit", n, kind, path, left=True)
-    return len(path) - 1, ()
+    return len(path) - 1, (), ()
 
 
 def _compute_pclique(n: int, kind: str):
@@ -733,65 +723,73 @@ def _compute_pclique(n: int, kind: str):
     first = r.maximizers[0].images
     center = set(itertools.compress(first, _commute_with_all(first, _generators(n, kind))))
     cliques = [[a for a in T.images if a not in center] for T in r.maximizers]
-    return r.size - len(center), (_from_images(r.maximizers[0].element_class, min(cliques)),)
+    witness = _from_images(r.maximizers[0].element_class, min(cliques))
+    return r.size - len(center), (witness,), ()
 
 
 def _compute_xi_table(n: int, kind: str):
     _check_degree("xi-table", n, kind)
-    return [(r.n, r.alpha, r.xi) for r in xi_table(n)], ()
+    return [(r.n, r.alpha, r.xi) for r in xi_table(n)], (), ()
 
 
-_FROM_2 = (2, math.inf)  # published for every degree n ≥ 2
+_FROM_2 = {"full": (2, math.inf), "partial": (2, math.inf)}  # published for every n ≥ 2
 
 # The searches are looked up by module name at call time (not captured
 # here), so anything that rebinds them, such as a tracer, sees every call.
 CLAIMS: dict[str, Claim] = {
     "comm-max": Claim(
-        _published("comm-max", _comm, (2, 6), (2, 5)),
-        lambda n, kind: _witnessed(max_commutative(n, kind)),
+        _comm,
+        {"full": (2, 6), "partial": (2, 5)},
+        lambda n, kind: max_commutative(n, kind),
         {"full": (1, 6), "partial": (1, 5)},
     ),
     "idem-max": Claim(
-        _published("idem-max", _comm, (1, math.inf), (1, math.inf)),
-        lambda n, kind: _witnessed(max_commutative_idempotent(n, kind)),
+        _comm,
+        {"full": (1, math.inf), "partial": (1, math.inf)},
+        lambda n, kind: max_commutative_idempotent(n, kind),
         {"full": (1, 8), "partial": (1, 7)},
     ),
     "unique-idem-max": Claim(
-        _published("unique-idem-max", _unique_idem, (1, 20), (1, 19)),
-        lambda n, kind: _witnessed(max_unique_idempotent(n, kind)),
+        _unique_idem,
+        {"full": (1, 20), "partial": (1, 19)},
+        lambda n, kind: max_unique_idempotent(n, kind),
         {"full": (1, 7), "partial": (1, 6)},
     ),
     "null-max": Claim(
-        _published("null-max", _xi, (1, 20), (1, 19)),
-        lambda n, kind: _witnessed(max_null(n, kind)),
+        _xi,
+        {"full": (1, 20), "partial": (1, 19)},
+        lambda n, kind: max_null(n, kind),
         {"full": (1, 7), "partial": (1, 6)},
     ),
     "abelian-max": Claim(
-        _published("abelian-max", lambda n, full: ABELIAN_ORDERS[n], full=(2, 12)),
+        lambda n, full: ABELIAN_ORDERS[n],
+        {"full": (2, 12)},
         _compute_abelian,
         {"full": (2, 7)},
     ),
     "pclique": Claim(
-        _published("pclique", _pclique, (2, 6), (2, 5)),
+        _pclique,
+        {"full": (2, 6), "partial": (2, 5)},
         _compute_pclique,
         {"full": (2, 6), "partial": (2, 5)},
     ),
     "girth": Claim(
-        _published("girth", lambda n, full: math.inf if n == 2 else 3, _FROM_2, _FROM_2),
+        lambda n, full: math.inf if n == 2 else 3,
+        _FROM_2,
         _compute_girth,
         {"full": (2, _MAX_DEGREE), "partial": (2, _MAX_DEGREE)},
         certified_from=3,
     ),
     "knit": Claim(
-        _published("knit", lambda n, full: None if n == 2 else 1, _FROM_2, _FROM_2),
+        lambda n, full: None if n == 2 else 1,
+        _FROM_2,
         _compute_knit,
         {"full": (2, _MAX_DEGREE), "partial": (2, _MAX_DEGREE)},
         certified_from=3,
     ),
     "xi-table": Claim(
-        _published(
-            "xi-table", lambda n, full: [(k, *TABLE1[k]) for k in range(1, n + 1)], (1, 20), (1, 20)
-        ),
+        lambda n, full: [(k, *TABLE1[k]) for k in range(1, n + 1)],
+        {"full": (1, 20), "partial": (1, 20)},
         _compute_xi_table,
         {"full": (1, 20), "partial": (1, 20)},
     ),
@@ -802,4 +800,5 @@ def expected_value(claim: str, n: int, kind: str):
     """The published value a computation must reproduce, or ValueError."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    return CLAIMS[claim].expected(n, kind)
+    _check_published(claim, n, kind)
+    return CLAIMS[claim].value(n, kind == "full")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from commsemi import cli
+from commsemi import cli, oracle
 from commsemi.extremal import (
     burns_goldsmith_order,
     e_ix,
@@ -811,6 +811,26 @@ class TestCliVerify:
         # published at partial 7, computed to partial 6
         assert cli.run(["verify", "--claim", "null-max", "--n", "7", "--kind", "partial"]) == 2
         assert "capped" in capsys.readouterr().err
+
+    def test_value_waits_for_both_ranges(self, monkeypatch, capsys):
+        # idem-max is published at every n ≥ 1 as 2^(n−1), so a degree past
+        # the computed range must exit 2 before its value is worked out
+        claim = oracle.CLAIMS["idem-max"]
+        asked = []
+
+        def spy(n, full):
+            asked.append(n)
+            return claim.value(n, full)
+
+        monkeypatch.setitem(oracle.CLAIMS, "idem-max", claim._replace(value=spy))
+        for n in (9, 64, 0):
+            assert cli.run(["verify", "--claim", "idem-max", f"--n={n}", "--kind", "full"]) == 2
+        err = capsys.readouterr().err
+        assert (err.count("capped range"), err.count("no published value")) == (2, 1)
+        assert asked == []
+        assert cli.run(["verify", "--claim", "idem-max", "--n=3", "--kind", "full"]) == 0
+        assert asked == [3]
+        assert "expected=4 computed=4 match=True" in capsys.readouterr().out
 
     def test_unknown_claim(self, capsys):
         assert cli.run(["verify", "--claim", "chromatic", "--n", "3", "--kind", "full"]) == 2
